@@ -168,7 +168,8 @@ def extract_anchors(html: bytes | str) -> tuple[str | None, list[tuple[str, str]
 
 
 _META_ROBOTS_RE = re.compile(
-    r"""<meta\b[^>]*name\s*=\s*["']?robots["']?[^>]*>""", re.I)
+    r"""<meta\b[^>]*name\s*=\s*(?:"robots"|'robots'|robots(?=[\s/>]))"""
+    r"""[^>]*>""", re.I)
 _CONTENT_ATTR_RE = re.compile(
     r"""content\s*=\s*("[^"]*"|'[^']*'|[^\s>]+)""", re.I)
 

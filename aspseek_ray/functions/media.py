@@ -1,28 +1,21 @@
-"""Pure-numpy codecs for UNCOMPRESSED public media formats — the real
-decode kernels behind pipelines/multimodal.py (SURVEY: multimodal decode /
-resize / frame-sample stages).
+"""Pure-numpy codecs for the uncompressed public media formats (plus
+PNG, whose only compression is stdlib ``zlib``) — the decode kernels
+behind pipelines/multimodal.py.
 
 This container ships no PIL/ffmpeg/librosa, so the codecs are built from
-the public specs directly (MP3/H.264 remain an explicit
-NotImplementedError seam; baseline JPEG lives in functions/jpeg.py and is
-real — markers, Huffman, IDCT, 4:2:0, restarts). Implemented here:
+the public specs directly. Implemented here:
 
 * **PNG** (8-bit gray/RGB/RGBA, non-interlaced, all five scanline
   filters, chunk CRCs verified) — DEFLATE via stdlib ``zlib``, filters
-  in numpy; a real compressed image codec with no external deps.
-* **GIF** (87a/89a, real variable-width LZW with clear/EOI and 12-bit
-  table resets, global/local color tables, interlace) — the other
-  non-transform-coded web image format.
-
+  in numpy.
 * **BMP** (Windows BITMAPINFOHEADER, 24-bit BI_RGB, bottom-up rows,
   4-byte row padding) — the canonical uncompressed image interchange.
 * **WAV** (RIFF/WAVE, PCM16 mono/stereo) — canonical uncompressed audio.
 * **Y4M** (YUV4MPEG2, C444 plain ASCII header + raw frames) — the
   standard uncompressed video stream format ffmpeg reads/writes.
-* **MJPEG/AVI** (RIFF 'AVI ' form, '00dc' chunks each a complete
-  baseline JPEG via functions/jpeg.py) — the compressed video path;
-  frames decode independently, so corpora split at chunk boundaries.
 
+Every other container (WebP, MP3, H.264, ...) raises
+NotImplementedError: that seam is where PIL/ffmpeg would plug in.
 Encoders exist so tests and the synthetic media generator produce REAL
 payload bytes that any external tool could open; decoders are vectorized
 numpy (no per-pixel Python)."""
@@ -36,8 +29,7 @@ import numpy as np
 __all__ = [
     "bmp_encode", "bmp_decode", "wav_encode", "wav_decode",
     "y4m_encode", "y4m_decode", "resize_nearest",
-    "png_encode", "png_decode", "gif_encode", "gif_decode",
-    "mjpeg_encode", "mjpeg_decode", "decode_image",
+    "png_encode", "png_decode", "decode_image",
 ]
 
 
@@ -118,30 +110,22 @@ def wav_decode(data: bytes) -> tuple[np.ndarray, int]:
     Walks RIFF chunks, so extra chunks (LIST/fact) are tolerated."""
     if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise ValueError("not a WAV file")
-    pos, rate, ch, bits, raw, audio_fmt = 12, None, None, None, None, None
+    pos, rate, ch, raw = 12, None, None, None
     while pos + 8 <= len(data):
         cid, size = struct.unpack_from("<4sI", data, pos)
         body = data[pos + 8: pos + 8 + size]
         if cid == b"fmt ":
             audio_fmt, ch, rate = struct.unpack_from("<HHI", body, 0)
             bits = struct.unpack_from("<H", body, 14)[0]
-            if audio_fmt == 0x11:
-                # IMA ADPCM: the real compressed-audio codec
-                from aspseek_ray.functions.adpcm import adpcm_decode
-                return adpcm_decode(data)
-            if audio_fmt not in (1, 6, 7) or \
-                    bits != (16 if audio_fmt == 1 else 8):
+            if audio_fmt != 1 or bits != 16:
                 raise NotImplementedError(
-                    "only PCM16, G.711 and IMA-ADPCM WAV supported")
+                    f"only PCM16 WAV supported (got format {audio_fmt}, "
+                    f"{bits} bits)")
         elif cid == b"data":
             raw = body
         pos += 8 + size + (size & 1)   # chunks are word-aligned
     if rate is None or raw is None:
         raise ValueError("WAV missing fmt/data chunk")
-    if audio_fmt in (6, 7):
-        # G.711 A-law / mu-law: table expansion to int16
-        from aspseek_ray.functions.g711 import g711_wav_decode
-        return g711_wav_decode(data, audio_fmt, ch, rate, raw)
     samples = np.frombuffer(raw, dtype="<i2")
     return samples.reshape(-1, ch), int(rate)
 
@@ -168,7 +152,7 @@ def y4m_decode(data: bytes) -> tuple[np.ndarray, int]:
     if not head.startswith("YUV4MPEG2"):
         raise ValueError("not a YUV4MPEG2 stream")
     w = h = fps = None
-    colorspace = "C420jpeg"
+    colorspace = None                    # no C tag: 4:2:0 by the spec
     for tok in head.split()[1:]:
         if tok[0] == "W":
             w = int(tok[1:])
@@ -362,293 +346,5 @@ def decode_image(payload: bytes) -> np.ndarray:
         if img.ndim == 2:
             return np.repeat(img[:, :, None], 3, axis=2)
         return np.ascontiguousarray(img[:, :, :3])
-    if payload[:6] in (b"GIF87a", b"GIF89a"):
-        return gif_decode(payload)
-    if payload[:2] == b"\xff\xd8":
-        from aspseek_ray.functions.jpeg import jpeg_decode
-        img = jpeg_decode(payload)
-        if img.ndim == 2:
-            return np.repeat(img[:, :, None], 3, axis=2)
-        return img
-    if payload[:4] == b"qoif":
-        from aspseek_ray.functions.qoi import qoi_decode
-        img = qoi_decode(payload)
-        return np.ascontiguousarray(img[:, :, :3])
-    if payload[:4] == b"RIFF" and payload[8:12] == b"AVI ":
-        # MJPG AVI decodes to a vertically-stacked FILMSTRIP
-        # (n*h, w, 3): whole-stream pixel stats see every frame, and the
-        # BMP-twin oracle can pin the full video decode with one image
-        frames, _ = mjpeg_decode(payload)
-        n, h, w, _c = frames.shape
-        return frames.reshape(n * h, w, 3)
     raise NotImplementedError(
-        "unknown image container (WebP/AVIF/... need PIL, not present)")
-
-
-# --------------------------------------------------------------------- GIF
-# GIF87a/89a is the other web image format with no transform coding: LZW
-# (fully specified in the GIF spec, patent-expired since 2004) over
-# palette indices. Implemented for real: variable-width LZW (3-12 bit
-# codes, clear/EOI), global+local color tables, interlaced and
-# non-interlaced frames, 89a extension blocks skipped. The encoder takes
-# a PALETTED image (index array + palette) — palette quantization of
-# truecolor input is a modeling choice, not a codec concern.
-
-_GIF_INTERLACE = ((0, 8), (4, 8), (2, 4), (1, 2))   # (start, step) passes
-
-
-def gif_encode(indices: np.ndarray, palette: np.ndarray) -> bytes:
-    """(h, w) uint8 palette indices + (n, 3) uint8 palette -> GIF87a
-    bytes (global color table, one image, real LZW)."""
-    if indices.dtype != np.uint8 or indices.ndim != 2:
-        raise ValueError("gif_encode expects (h, w) uint8 indices")
-    if palette.ndim != 2 or palette.shape[1] != 3:
-        raise ValueError("gif_encode expects (n, 3) palette")
-    n_pal = len(palette)
-    if n_pal < 2 or n_pal > 256 or indices.max(initial=0) >= n_pal:
-        raise ValueError("palette must hold 2..256 entries covering indices")
-    depth = max(1, int(n_pal - 1).bit_length())     # color table size 2^depth
-    table = np.zeros((1 << depth, 3), np.uint8)
-    table[:n_pal] = palette
-    h, w = indices.shape
-
-    # ---- LZW compress (GIF variant) ----
-    min_code = max(2, depth)
-    clear, eoi = 1 << min_code, (1 << min_code) + 1
-    dict_ = {bytes([i]): i for i in range(1 << min_code)}
-    next_code = eoi + 1
-    width = min_code + 1
-    out_codes: list[tuple[int, int]] = [(clear, width)]
-    buf = b""
-    for b in indices.tobytes():
-        cand = buf + bytes([b])
-        if cand in dict_:
-            buf = cand
-            continue
-        out_codes.append((dict_[buf], width))
-        dict_[cand] = next_code
-        next_code += 1
-        if next_code > (1 << width) and width < 12:
-            width += 1
-        elif next_code > (1 << 12):                 # table full: reset
-            out_codes.append((clear, width))
-            dict_ = {bytes([i]): i for i in range(1 << min_code)}
-            next_code = eoi + 1
-            width = min_code + 1
-        buf = bytes([b])
-    if buf:
-        out_codes.append((dict_[buf], width))
-    out_codes.append((eoi, width))
-    # pack LSB-first
-    bits = bitpos = 0
-    packed = bytearray()
-    for code, cw in out_codes:
-        bits |= code << bitpos
-        bitpos += cw
-        while bitpos >= 8:
-            packed.append(bits & 0xFF)
-            bits >>= 8
-            bitpos -= 8
-    if bitpos:
-        packed.append(bits & 0xFF)
-
-    out = bytearray(b"GIF87a")
-    out += struct.pack("<HHBBB", w, h, 0x80 | ((depth - 1) << 4) | (depth - 1),
-                       0, 0)
-    out += table.tobytes()
-    out += struct.pack("<BHHHHB", 0x2C, 0, 0, w, h, 0)   # image descriptor
-    out.append(min_code)
-    for i in range(0, len(packed), 255):                 # data sub-blocks
-        chunk = packed[i:i + 255]
-        out.append(len(chunk))
-        out += chunk
-    out += b"\x00\x3B"                                   # terminator+trailer
-    return bytes(out)
-
-
-def gif_decode(data: bytes) -> np.ndarray:
-    """GIF bytes -> (h, w, 3) uint8 RGB of the FIRST frame (global or
-    local color table, interlace supported; 89a extensions skipped)."""
-    if data[:6] not in (b"GIF87a", b"GIF89a"):
-        raise ValueError("not a GIF file")
-    sw, sh, flags, _bg, _ar = struct.unpack_from("<HHBBB", data, 6)
-    pos = 13
-    global_table = None
-    if flags & 0x80:
-        n = 2 << (flags & 0x07)
-        global_table = np.frombuffer(data, np.uint8, 3 * n,
-                                     pos).reshape(n, 3)
-        pos += 3 * n
-    while pos < len(data):
-        block = data[pos]
-        pos += 1
-        if block == 0x3B:                                # trailer
-            break
-        if block == 0x21:                                # extension: skip
-            pos += 1                                     # label
-            while data[pos]:
-                pos += 1 + data[pos]
-            pos += 1
-            continue
-        if block != 0x2C:
-            raise ValueError(f"bad GIF block 0x{block:02x}")
-        _l, _t, w, h, iflags = struct.unpack_from("<HHHHB", data, pos)
-        pos += 9
-        table = global_table
-        if iflags & 0x80:
-            n = 2 << (iflags & 0x07)
-            table = np.frombuffer(data, np.uint8, 3 * n,
-                                  pos).reshape(n, 3)
-            pos += 3 * n
-        if table is None:
-            raise ValueError("GIF image has no color table")
-        min_code = data[pos]
-        pos += 1
-        stream = bytearray()
-        while data[pos]:
-            ln = data[pos]
-            stream += data[pos + 1: pos + 1 + ln]
-            pos += 1 + ln
-        pos += 1
-
-        # ---- LZW decompress ----
-        clear, eoi = 1 << min_code, (1 << min_code) + 1
-        base = [bytes([i]) for i in range(1 << min_code)]
-        dict_: list[bytes] = []
-        width = min_code + 1
-        bits = bitpos = 0
-        idx = np.empty(w * h, np.uint8)
-        n_out = 0
-        prev: bytes | None = None
-        bi = 0
-        while True:
-            while bitpos < width and bi < len(stream):
-                bits |= stream[bi] << bitpos
-                bi += 1
-                bitpos += 8
-            if bitpos < width:
-                raise ValueError("truncated GIF LZW stream")
-            code = bits & ((1 << width) - 1)
-            bits >>= width
-            bitpos -= width
-            if code == clear:
-                dict_ = []
-                width = min_code + 1
-                prev = None
-                continue
-            if code == eoi:
-                break
-            n_base = 1 << min_code
-            if code < n_base:
-                entry = base[code]
-            elif code - n_base - 2 < len(dict_):
-                entry = dict_[code - n_base - 2]
-            elif code == n_base + 2 + len(dict_) and prev is not None:
-                entry = prev + prev[:1]                  # KwKwK case
-            else:
-                raise ValueError("corrupt GIF LZW code")
-            idx[n_out:n_out + len(entry)] = np.frombuffer(entry, np.uint8)
-            n_out += len(entry)
-            if prev is not None:
-                dict_.append(prev + entry[:1])
-            if n_base + 2 + len(dict_) >= (1 << width) and width < 12:
-                width += 1
-            prev = entry
-            if n_out >= w * h:
-                break
-        if n_out != w * h:
-            raise ValueError("GIF pixel count mismatch")
-        grid = idx.reshape(h, w)
-        if iflags & 0x40:                                # interlaced
-            rows = np.concatenate([np.arange(s, h, st)
-                                   for s, st in _GIF_INTERLACE])
-            out = np.empty_like(grid)
-            out[rows] = grid
-            grid = out
-        return table[grid]                               # first frame only
-    raise ValueError("GIF contains no image block")
-
-
-# ------------------------------------------------------------------- MJPEG
-# Motion JPEG in the RIFF AVI container (both public: the AVI layout is
-# the classic Microsoft 'AVI ' RIFF form; every video frame is a complete
-# baseline JPEG handled by functions/jpeg.py). This is the compressed
-# VIDEO path: each '00dc' chunk decodes independently, so a 100-TB corpus
-# splits at frame/chunk boundaries with no inter-frame state (unlike
-# H.264, which stays a declared seam).
-
-def _riff_chunk(tag: bytes, body: bytes) -> bytes:
-    pad = b"\x00" if len(body) & 1 else b""
-    return tag + struct.pack("<I", len(body)) + body + pad
-
-
-def _riff_list(kind: bytes, body: bytes) -> bytes:
-    return _riff_chunk(b"LIST", kind + body)
-
-
-def mjpeg_encode(frames: np.ndarray, fps: int = 25, **jpeg_kwargs) -> bytes:
-    """(n, h, w) gray or (n, h, w, 3) RGB uint8 -> MJPG AVI bytes; every
-    frame is a standalone baseline JPEG (``jpeg_kwargs`` pass through to
-    :func:`aspseek_ray.functions.jpeg.jpeg_encode`)."""
-    from aspseek_ray.functions.jpeg import jpeg_encode
-
-    if frames.ndim not in (3, 4) or frames.dtype != np.uint8 or not len(frames):
-        raise ValueError("mjpeg_encode expects (n, h, w[, 3]) uint8")
-    n, h, w = frames.shape[:3]
-    payloads = [jpeg_encode(f, **jpeg_kwargs) for f in frames]
-    avih = _riff_chunk(b"avih", struct.pack(
-        "<14I", int(round(1_000_000 / fps)), 0, 0, 0x10, n, 0, 1, 0, w, h,
-        0, 0, 0, 0))
-    strh = _riff_chunk(b"strh", struct.pack(
-        "<4s4sIHHIIIIIIII4h", b"vids", b"MJPG", 0, 0, 0, 0, 1, fps, 0, n,
-        max(map(len, payloads)), 0xFFFFFFFF, 0, 0, 0, w, h))
-    strf = _riff_chunk(b"strf", struct.pack(
-        "<IiiHH4sIiiII", 40, w, h, 1, 24, b"MJPG", w * h * 3, 0, 0, 0, 0))
-    hdrl = _riff_list(b"hdrl", avih + _riff_list(b"strl", strh + strf))
-    movi = _riff_list(b"movi", b"".join(_riff_chunk(b"00dc", p)
-                                        for p in payloads))
-    body = b"AVI " + hdrl + movi
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
-def mjpeg_decode(data: bytes) -> tuple[np.ndarray, int]:
-    """MJPG AVI bytes -> ((n, h, w, 3) uint8 RGB frames, fps). Walks the
-    RIFF tree for '00dc'/'00db' frame chunks (each a complete JPEG; gray
-    frames are replicated to RGB); fps comes from strh rate/scale with
-    the avih frame period as fallback."""
-    from aspseek_ray.functions.jpeg import jpeg_decode
-
-    if data[:4] != b"RIFF" or data[8:12] != b"AVI ":
-        raise ValueError("not an AVI file")
-    frames: list[np.ndarray] = []
-    fps = 25
-
-    def walk(lo: int, hi: int) -> None:
-        nonlocal fps
-        pos = lo
-        while pos + 8 <= hi:
-            tag, size = struct.unpack_from("<4sI", data, pos)
-            body_lo = pos + 8
-            if tag == b"LIST":
-                walk(body_lo + 4, body_lo + size)
-            elif tag == b"strh" and data[body_lo:body_lo + 4] == b"vids":
-                scale, rate = struct.unpack_from("<II", data, body_lo + 20)
-                if scale and rate:
-                    fps = max(1, round(rate / scale))
-            elif tag == b"avih" and not frames:
-                (usec,) = struct.unpack_from("<I", data, body_lo)
-                if usec:
-                    fps = max(1, round(1_000_000 / usec))
-            elif tag in (b"00dc", b"00db") and size:
-                img = jpeg_decode(data[body_lo:body_lo + size])
-                if img.ndim == 2:
-                    img = np.repeat(img[:, :, None], 3, axis=2)
-                frames.append(img)
-            pos = body_lo + size + (size & 1)
-
-    walk(12, 8 + struct.unpack_from("<I", data, 4)[0])
-    if not frames:
-        raise ValueError("AVI contains no MJPG frame chunks")
-    if len({f.shape for f in frames}) != 1:
-        raise ValueError("MJPG frames disagree on dimensions")
-    return np.stack(frames), fps
+        "unknown image container (only BMP and PNG are decoded)")

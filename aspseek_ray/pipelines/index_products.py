@@ -33,6 +33,11 @@ from aspseek_ray.functions.url import canonicalize, host_of
 
 NUM_WORD_BUCKETS = 64
 
+POSTINGS_SCHEMA = pa.schema([("word", pa.string()),
+                             ("word_bucket", pa.int32()),
+                             ("doc_seq", pa.int64()),
+                             ("positions", pa.list_(pa.int32()))])
+
 
 def build_postings(pages_path: str, out_dir: str | None = None,
                    drop_stopwords: bool = True,
@@ -244,7 +249,7 @@ def update_postings_index(index_dir: str, store_path: str,
         store_path, per_lang_stopwords=per_lang_stopwords).materialize()
 
     # remove-set: docs being refreshed this round (+ explicit purges)
-    doc_rows = delta.select_columns(["doc_seq"]).unique("doc_seq")
+    doc_rows = delta.select_columns(["doc_seq"]).unique("doc_seq") or []
     remove = np.unique(np.concatenate(
         [np.asarray(doc_rows, dtype=np.int64),
          np.asarray(list(purge_doc_seqs), dtype=np.int64)]))
@@ -308,7 +313,8 @@ def _apply_delta(index_dir: str, delta: rd.Dataset, remove: np.ndarray,
                    .materialize())
         dirty = ({int(x) for x in hits.unique("word_bucket")}
                  if hits.count() else set())
-    delta_buckets = {int(b) for b in delta.unique("word_bucket")}
+    # unique() of a zero-row Dataset (a round with no stored pages) is None
+    delta_buckets = {int(b) for b in delta.unique("word_bucket") or ()}
     touched = sorted(dirty | delta_buckets)
     if not touched:
         return []
@@ -362,11 +368,7 @@ def _apply_delta(index_dir: str, delta: rd.Dataset, remove: np.ndarray,
                            columns=["word", "doc_seq", "positions"])
                          .map_batches(restamp, batch_format="pyarrow"))
     else:
-        old_touched = rd.from_arrow(pa.table({
-            "word": pa.array([], pa.string()),
-            "word_bucket": pa.array([], pa.int32()),
-            "doc_seq": pa.array([], pa.int64()),
-            "positions": pa.array([], pa.list_(pa.int32()))}))
+        old_touched = rd.from_arrow(POSTINGS_SCHEMA.empty_table())
     if use_broadcast:
         def keep_fn(b: pa.Table) -> pa.Table:
             if b.num_rows == 0:
@@ -454,6 +456,14 @@ def _staged_round_dirs(index_dir: str) -> "list[Path]":
     return sorted(d.glob("round-*")) if d.exists() else []
 
 
+def _staged_postings(round_dir) -> rd.Dataset:
+    """One staged round's postings; a round with no stored pages stages
+    no ``postings`` dir, and reads as an empty postings Dataset."""
+    if not (round_dir / "postings").exists():
+        return rd.from_arrow(POSTINGS_SCHEMA.empty_table())
+    return _read_bucketed_postings(str(round_dir / "postings"))
+
+
 def _parquet_rows(files) -> int:
     """Total row count from parquet footers only (no data read)."""
     import pyarrow.parquet as pq
@@ -470,7 +480,8 @@ def stage_delta(index_dir: str, store_path: str,
     layout as main) plus its remove-set ``_docs.parquet`` (refreshed +
     purged doc_seqs). The round dir appears atomically (tmp + rename);
     a crash mid-stage leaves only an ignored tmp dir. O(round), no main
-    index reads. Returns the staged round number."""
+    index reads. A round with no stored pages writes no postings dir,
+    only its purges. Returns the staged round number."""
     import shutil
     from pathlib import Path
 
@@ -486,8 +497,10 @@ def stage_delta(index_dir: str, store_path: str,
     build_postings(store_path, per_lang_stopwords=per_lang_stopwords
                    ).write_parquet(str(tmp / "postings"),
                                    partition_cols=["word_bucket"])
-    docs = rd.read_parquet(str(tmp / "postings"),
-                           columns=["doc_seq"]).unique("doc_seq")
+    docs = (rd.read_parquet(str(tmp / "postings"),
+                            columns=["doc_seq"]).unique("doc_seq")
+            if (tmp / "postings").exists() else [])
+    tmp.mkdir(exist_ok=True)
     arr = np.unique(np.concatenate(
         [np.asarray(docs, dtype=np.int64),
          np.asarray(list(purge_doc_seqs), dtype=np.int64)]))
@@ -532,7 +545,7 @@ def read_postings_with_deltas(index_dir: str) -> rd.Dataset:
     out = _mask_docs(_read_bucketed_postings(index_dir),
                      np.unique(np.concatenate(docs_per_round)))
     for i, r in enumerate(rounds):
-        ds_i = _read_bucketed_postings(str(r / "postings"))
+        ds_i = _staged_postings(r)
         later = docs_per_round[i + 1:]
         if later:
             ds_i = _mask_docs(ds_i, np.unique(np.concatenate(later)))
@@ -564,7 +577,7 @@ def fold_deltas(index_dir: str,
 
     parts: "list[rd.Dataset]" = []
     for i, r in enumerate(rounds):
-        ds_i = _read_bucketed_postings(str(r / "postings"))
+        ds_i = _staged_postings(r)
         later = docs_per_round[i + 1:]
         if later:
             ds_i = _mask_docs(ds_i, np.unique(np.concatenate(later)))
@@ -602,10 +615,9 @@ def update_postings_index_staged(
     main_files = sorted(Path(index_dir).glob("word_bucket=*/*.parquet"))
     staged_rows = _parquet_rows(staged_files)
     main_rows = _parquet_rows(main_files)
-    touched: list[int] = []
-    if staged_rows >= fold_threshold * max(main_rows, 1):
-        touched = fold_deltas(index_dir, broadcast_max_docs)
-    return {"staged_round": rnd, "folded": bool(touched),
+    folded = staged_rows >= fold_threshold * max(main_rows, 1)
+    touched = fold_deltas(index_dir, broadcast_max_docs) if folded else []
+    return {"staged_round": rnd, "folded": folded,
             "touched": touched, "staged_rows": staged_rows,
             "main_rows": main_rows}
 

@@ -4,11 +4,10 @@ with typed metadata, processed by actor-pool map_batches stages.
 The decode kernels are REAL (functions/media.py, pure numpy + stdlib
 zlib): BMP and PNG images (PNG: 8-bit gray/RGB/RGBA, all five scanline
 filters, CRC-verified), PCM16 WAV audio, and YUV4MPEG2 (Y4M C444) video.
-Payloads are sniffed by magic bytes; transform-coded formats
-(JPEG/MP3/H.264...) still raise NotImplementedError — that seam is where
-PIL/ffmpeg would plug in, and those libraries are not in this container.
-The synthetic media generators emit real bytes any external tool could
-open.
+Payloads are sniffed by magic bytes; every other container raises
+NotImplementedError — that seam is where PIL/ffmpeg would plug in, and
+those libraries are not in this container. The synthetic media
+generators emit real bytes any external tool could open.
 
 At 100-TB scale: payloads dominate block size — keep ``batch_size`` small
 (64–256 rows), ``concurrency`` sized to the node, and never carry the
@@ -22,7 +21,6 @@ import pyarrow as pa
 import ray.data as rd
 
 from aspseek_ray.functions.media import (
-    bmp_decode,
     bmp_encode,
     decode_image,
     png_encode,
@@ -49,23 +47,13 @@ def _sniff(payload: bytes) -> str:
         return "bmp"
     if payload[:8] == b"\x89PNG\r\n\x1a\n":
         return "png"
-    if payload[:6] in (b"GIF87a", b"GIF89a"):
-        return "gif"
-    if payload[:2] == b"\xff\xd8":
-        return "jpeg"
-    if payload[:4] == b"qoif":
-        return "qoi"
     if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
         return "wav"
-    if payload[:4] == b"fLaC":
-        return "flac"
-    if payload[:4] == b"RIFF" and payload[8:12] == b"AVI ":
-        return "avi"
     if payload[:9] == b"YUV4MPEG2":
         return "y4m"
     raise NotImplementedError(
-        "unknown media container (WebP/MP3/H.264...) — decoding these "
-        "requires PIL/ffmpeg, not present in this container")
+        "unknown media container (only BMP, PNG, PCM16 WAV and Y4M are "
+        "decoded; others need PIL/ffmpeg, not present in this container)")
 
 
 class DecodeStage:
@@ -85,18 +73,14 @@ class DecodeStage:
     def _features(self, payload: bytes) -> np.ndarray:
         kind = _sniff(payload)
         f = np.zeros(FEATURE_DIM, dtype=np.float32)
-        if kind in ("bmp", "png", "gif", "jpeg", "qoi"):
+        if kind in ("bmp", "png"):
             img = decode_image(payload).astype(np.float32)
             h, w = img.shape[:2]
             luma = img @ np.array([0.299, 0.587, 0.114], np.float32)
             f[:7] = [w, h, img[..., 0].mean(), img[..., 1].mean(),
                      img[..., 2].mean(), luma.std(), w / h]
-        elif kind in ("wav", "flac"):
-            if kind == "flac":
-                from aspseek_ray.functions.flac import flac_decode
-                samples, rate = flac_decode(payload)
-            else:
-                samples, rate = wav_decode(payload)
+        elif kind == "wav":
+            samples, rate = wav_decode(payload)
             mono = samples.astype(np.float32).mean(axis=1) / 32768.0
             n = len(mono)
             zc = (np.count_nonzero(np.signbit(mono[1:]) !=
@@ -105,14 +89,8 @@ class DecodeStage:
                      zc, n / rate, float(np.abs(mono).max()) if n else 0.0,
                      samples.shape[1]]
         else:
-            if kind == "avi":
-                from aspseek_ray.functions.media import mjpeg_decode
-                frames, fps = mjpeg_decode(payload)
-                y = frames.astype(np.float32) @ np.array(
-                    [0.299, 0.587, 0.114], np.float32)   # RGB -> luma
-            else:
-                frames, fps = y4m_decode(payload)
-                y = frames[..., 0].astype(np.float32)    # Y plane
+            frames, fps = y4m_decode(payload)
+            y = frames[..., 0].astype(np.float32)        # Y plane
             n, h, w = frames.shape[:3]
             f[:7] = [n, h, w, fps, y.mean() if n else 0.0,
                      y.std() if n else 0.0, n / fps if fps else 0.0]
@@ -162,11 +140,7 @@ class ResizeStage:
             ids.append(mid)
             ws.append(ow)
             hs.append(oh)
-            # GIF/JPEG re-encode as PNG: resize output is truecolor RGB
-            # and PNG carries it losslessly (GIF would need
-            # re-quantization, JPEG another lossy generation)
-            enc = (png_encode if _sniff(p) in ("png", "gif", "jpeg")
-                   else bmp_encode)
+            enc = png_encode if _sniff(p) == "png" else bmp_encode
             payloads.append(enc(resize_nearest(img, ow, oh)))
         return pa.table({"media_id": pa.array(ids, pa.int64()),
                          "out_w": pa.array(ws, pa.int32()),
@@ -239,17 +213,11 @@ class PixelStatsStage:
     means from int64 byte sums (one float64 division at the end), so the
     result is bit-reproducible and can be checked by a SQL oracle that
     extracts the same BMP bytes (for PNG payloads, a BMP twin of the same
-    pixels — an independent-codec check). Keeps only ``media_types``
-    rows (default images; MJPEG-AVI video opts in and is decoded as a
-    stacked filmstrip); output (media_id, width, height, mean_r,
-    mean_g, mean_b)."""
-
-    def __init__(self, media_types: tuple = ("image",)):
-        self.media_types = list(media_types)
+    pixels — an independent-codec check). Keeps only image rows; output
+    (media_id, width, height, mean_r, mean_g, mean_b)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        keep = pa.compute.is_in(batch["media_type"],
-                                value_set=pa.array(self.media_types))
+        keep = pa.compute.equal(batch["media_type"], "image")
         batch = batch.filter(keep)
         ids, ws, hs = [], [], []
         mr, mg, mb = [], [], []
@@ -274,14 +242,11 @@ class PixelStatsStage:
 
 
 def media_pixel_stats(ds: rd.Dataset, concurrency: int = 2,
-                      batch_size: int = 128,
-                      media_types: tuple = ("image",)) -> rd.Dataset:
+                      batch_size: int = 128) -> rd.Dataset:
     """Exact per-image channel means over a MEDIA_SCHEMA dataset — the
     oracle-checkable slice of the decode stage (DecodeStage's float32
-    feature lanes are NOT bit-mirrorable in SQL; integer byte sums are).
-    Pass ``media_types=("video",)`` for MJPEG-AVI filmstrip stats."""
+    feature lanes are NOT bit-mirrorable in SQL; integer byte sums are)."""
     return ds.map_batches(PixelStatsStage, batch_format="pyarrow",
-                          fn_constructor_kwargs={"media_types": media_types},
                           batch_size=batch_size, concurrency=concurrency)
 
 
@@ -296,25 +261,10 @@ class AudioStatsStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         keep = pa.compute.equal(batch["media_type"], "audio")
         batch = batch.filter(keep)
-        payloads = [p or b"" for p in batch["payload"].to_pylist()]
-        # ADPCM payloads decode in ONE vectorized pass: all their
-        # (block, channel) streams share a single state loop, so the
-        # per-sample cost is paid per batch, not per clip (~20x on a
-        # 96-clip batch vs per-payload decoding)
-        from aspseek_ray.functions.adpcm import adpcm_decode_many, is_adpcm
-        adp = [i for i, p in enumerate(payloads) if is_adpcm(p)]
-        pre = dict(zip(adp, adpcm_decode_many([payloads[i] for i in adp]))
-                   ) if adp else {}
         ids, ns, rates, peaks, means, zcs = [], [], [], [], [], []
-        from aspseek_ray.functions.flac import flac_decode, is_flac
-        for i, (mid, p) in enumerate(zip(batch["media_id"].to_pylist(),
-                                         payloads)):
-            if i in pre:
-                samples, rate = pre[i]
-            elif is_flac(p):
-                samples, rate = flac_decode(p)
-            else:
-                samples, rate = wav_decode(p or b"")
+        for mid, p in zip(batch["media_id"].to_pylist(),
+                          batch["payload"].to_pylist()):
+            samples, rate = wav_decode(p or b"")
             s = samples[:, 0].astype(np.int64)
             n = len(s)
             ids.append(mid)
@@ -422,315 +372,6 @@ def synth_media_table(n: int = 256, seed: int = 9) -> pa.Table:
 
 def synth_media_dataset(n: int = 256, seed: int = 9) -> rd.Dataset:
     return rd.from_arrow(synth_media_table(n, seed))
-
-
-def synth_gif_media_table(n: int = 96, seed: int = 13) -> pa.Table:
-    """Deterministic GIF image table with a BMP TWIN column, same
-    independent-codec contract as :func:`synth_png_media_table`:
-    ``payload`` is real GIF87a bytes (random paletted images, palette
-    sizes cycling 4/16/64/256 so LZW code widths 3 through 9+ and the
-    clear-code reset all occur), ``payload_bmp`` the same pixels as
-    24-bit BMP."""
-    from aspseek_ray.functions.media import gif_encode
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ids, gifs, bmps, metas = [], [], [], []
-    for i in range(n):
-        w, h = int(rng.integers(8, 64)), int(rng.integers(8, 64))
-        n_pal = (4, 16, 64, 256)[i % 4]
-        pal = rng.integers(0, 256, size=(n_pal, 3), dtype=np.uint8)
-        idx = rng.integers(0, n_pal, size=(h, w), dtype=np.uint8)
-        ids.append(i)
-        gifs.append(gif_encode(idx, pal))
-        bmps.append(bmp_encode(pal[idx]))
-        metas.append({"width": w, "height": h, "duration_ms": 0})
-    return pa.table({
-        "media_id": pa.array(ids, pa.int64()),
-        "media_type": pa.array(["image"] * n, pa.string()),
-        "payload": pa.array(gifs, pa.binary()),
-        "payload_bmp": pa.array(bmps, pa.binary()),
-        "meta": pa.array(metas, type=MEDIA_SCHEMA.field("meta").type),
-    })
-
-
-def synth_qoi_media_table(n: int = 96, seed: int = 23) -> pa.Table:
-    """Deterministic QOI image table with a BMP TWIN column, same
-    independent-codec contract as :func:`synth_png_media_table`:
-    ``payload`` is real QOI bytes (RGB and RGBA alternating; image
-    content cycles flat/gradient/palette/noise/alpha-step regions so all
-    six QOI ops — RUN, INDEX, DIFF, LUMA, RGB, RGBA — occur in the
-    corpus), ``payload_bmp`` the same pixels as 24-bit BMP (alpha
-    dropped; alpha never reaches the pixel-stats query)."""
-    from aspseek_ray.functions.qoi import qoi_encode
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ids, qois, bmps, metas = [], [], [], []
-    for i in range(n):
-        w, h = int(rng.integers(8, 64)), int(rng.integers(8, 64))
-        ch = (3, 4)[i % 2]
-        mode = i % 5
-        if mode == 0:      # flat -> RUN chunks
-            img = np.full((h, w, ch), int(rng.integers(0, 256)), np.uint8)
-        elif mode == 1:    # smooth gradient -> DIFF/LUMA
-            base = (np.add.outer(np.arange(h), np.arange(w)) % 256)
-            img = np.stack([base] * ch, axis=2).astype(np.uint8)
-            img[..., 1] = (img[..., 1] + rng.integers(
-                0, 3, (h, w), dtype=np.uint8))
-        elif mode == 2:    # tiny palette -> INDEX replays
-            pal = rng.integers(0, 256, (6, ch), dtype=np.uint8)
-            img = pal[rng.integers(0, 6, (h, w))]
-        elif mode == 3:    # noise -> RGB/RGBA literals
-            img = rng.integers(0, 256, (h, w, ch), dtype=np.uint8)
-        else:              # alpha steps on RGBA -> RGBA literals
-            img = np.full((h, w, ch), 40, np.uint8)
-            if ch == 4:
-                img[h // 2:, :, 3] = 128
-            img[::3, ::3, 0] = 200
-        ids.append(i)
-        qois.append(qoi_encode(np.ascontiguousarray(img)))
-        bmps.append(bmp_encode(np.ascontiguousarray(img[:, :, :3])))
-        metas.append({"width": w, "height": h, "duration_ms": 0})
-    return pa.table({
-        "media_id": pa.array(ids, pa.int64()),
-        "media_type": pa.array(["image"] * n, pa.string()),
-        "payload": pa.array(qois, pa.binary()),
-        "payload_bmp": pa.array(bmps, pa.binary()),
-        "meta": pa.array(metas, type=MEDIA_SCHEMA.field("meta").type),
-    })
-
-
-def synth_adpcm_media_table(n: int = 96, seed: int = 19) -> pa.Table:
-    """Deterministic IMA-ADPCM audio table with a PCM16-WAV TWIN column,
-    the compressed-audio edition of the independent-codec contract:
-    ``payload`` is a real MS IMA-ADPCM WAV (fmt 0x11; tones + noise,
-    mono/stereo, whole and partial final blocks), ``payload_pcm`` a PCM16
-    WAV of the encoder's IN-LOOP reconstruction — the signal every
-    conforming ADPCM decoder must reproduce BITWISE, because an ADPCM
-    encoder is defined by quantizing against the decoder's own state (see
-    functions/adpcm.py). The engine decodes the ADPCM payload; the SQL
-    oracle re-parses the PCM twin byte-by-byte; exact integer sample
-    stats must agree."""
-    from aspseek_ray.functions.adpcm import adpcm_encode
-    from aspseek_ray.functions.media import wav_encode
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ids, adps, pcms, metas = [], [], [], []
-    for i in range(n):
-        rate = (8000, 16000)[i % 2]
-        ch = (1, 2)[(i // 2) % 2]
-        dur_ms = int(rng.integers(20, 400))
-        nsamp = rate * dur_ms // 1000
-        t = np.arange(nsamp, dtype=np.float64) / rate
-        freq = float(rng.integers(80, 3000))
-        sig = (np.sin(2 * np.pi * freq * t) * float(rng.integers(5000, 25000))
-               + rng.normal(0.0, 400.0, nsamp))
-        s = np.clip(sig, -32768, 32767).astype(np.int16)
-        if ch == 2:
-            s = np.stack([s, np.roll(s, nsamp // 3)], axis=1)
-        payload, recon = adpcm_encode(s, rate=rate)
-        ids.append(i)
-        adps.append(payload)
-        pcms.append(wav_encode(recon, rate))
-        metas.append({"width": 0, "height": 0, "duration_ms": dur_ms})
-    return pa.table({
-        "media_id": pa.array(ids, pa.int64()),
-        "media_type": pa.array(["audio"] * n, pa.string()),
-        "payload": pa.array(adps, pa.binary()),
-        "payload_pcm": pa.array(pcms, pa.binary()),
-        "meta": pa.array(metas, type=MEDIA_SCHEMA.field("meta").type),
-    })
-
-
-def synth_g711_media_table(n: int = 96, seed: int = 31) -> pa.Table:
-    """Deterministic G.711 audio table with a PCM16-WAV TWIN column,
-    telephony edition of the independent-codec contract: ``payload`` is
-    a real G.711 WAV (format tags 0x0007 mu-law / 0x0006 A-law
-    alternating, mono/stereo, with the customary fact chunk), and
-    ``payload_pcm`` a PCM16 WAV of the codes' normative table expansion
-    — the signal every conforming G.711 decoder must reproduce BITWISE
-    (the expansion tables ARE the spec; see functions/g711.py). The
-    engine decodes the companded payload; the SQL oracle re-parses the
-    PCM twin byte-by-byte; exact integer sample stats must agree."""
-    from aspseek_ray.functions.g711 import g711_wav_encode
-    from aspseek_ray.functions.media import wav_encode
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ids, g711s, pcms, metas = [], [], [], []
-    for i in range(n):
-        law = ("ulaw", "alaw")[i % 2]
-        ch = (1, 2)[(i // 2) % 2]
-        rate = 8000
-        dur_ms = int(rng.integers(20, 400))
-        nsamp = rate * dur_ms // 1000
-        t = np.arange(nsamp, dtype=np.float64) / rate
-        freq = float(rng.integers(80, 3400))        # telephony band
-        sig = (np.sin(2 * np.pi * freq * t)
-               * float(rng.integers(2000, 28000))
-               + rng.normal(0.0, 300.0, nsamp))
-        s = np.clip(sig, -32768, 32767).astype(np.int16)
-        if ch == 2:
-            s = np.stack([s, np.roll(s, nsamp // 3)], axis=1)
-        payload, recon = g711_wav_encode(s, rate=rate, law=law)
-        ids.append(i)
-        g711s.append(payload)
-        pcms.append(wav_encode(recon, rate))
-        metas.append({"width": 0, "height": 0, "duration_ms": dur_ms})
-    return pa.table({
-        "media_id": pa.array(ids, pa.int64()),
-        "media_type": pa.array(["audio"] * n, pa.string()),
-        "payload": pa.array(g711s, pa.binary()),
-        "payload_pcm": pa.array(pcms, pa.binary()),
-        "meta": pa.array(metas, type=MEDIA_SCHEMA.field("meta").type),
-    })
-
-
-def synth_flac_media_table(n: int = 96, seed: int = 37) -> pa.Table:
-    """Deterministic FLAC audio table with a PCM16-WAV TWIN column,
-    lossless edition of the independent-codec contract: ``payload`` is
-    real FLAC bytes (fixed predictors, rice residuals, partition orders
-    cycling, CRC-8/16, STREAMINFO MD5; content cycles tone / constant /
-    noise / ramp so CONSTANT, VERBATIM and every FIXED order occur),
-    ``payload_pcm`` a PCM16 WAV of the ORIGINAL samples — FLAC is
-    lossless, so a conforming decoder must reproduce them bitwise (and
-    functions/flac.py proves it per file against the STREAMINFO MD5).
-    The engine decodes the FLAC payload; the SQL oracle re-parses the
-    PCM twin byte-by-byte; exact integer stats must agree."""
-    from aspseek_ray.functions.flac import flac_encode
-    from aspseek_ray.functions.media import wav_encode
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ids, flacs, pcms, metas = [], [], [], []
-    for i in range(n):
-        rate = (8000, 16000)[i % 2]
-        ch = (1, 2)[(i // 2) % 2]
-        dur_ms = int(rng.integers(20, 400))
-        nsamp = max(1, rate * dur_ms // 1000)
-        mode = i % 4
-        t = np.arange(nsamp, dtype=np.float64) / rate
-        if mode == 0:      # tone -> FIXED predictors bite
-            freq = float(rng.integers(80, 3000))
-            sig = np.sin(2 * np.pi * freq * t) * 12000
-        elif mode == 1:    # constant -> CONSTANT subframes
-            sig = np.full(nsamp, float(rng.integers(-2000, 2000)))
-        elif mode == 2:    # noise -> high rice params
-            sig = rng.normal(0.0, 9000.0, nsamp)
-        else:              # ramp + noise -> order-1/2 predictors
-            sig = (np.arange(nsamp) % 3000) - 1500 \
-                + rng.normal(0.0, 40.0, nsamp)
-        s = np.clip(sig, -32768, 32767).astype(np.int16)
-        if ch == 2:
-            s = np.stack([s, np.roll(s, nsamp // 3)], axis=1)
-        ids.append(i)
-        flacs.append(flac_encode(s, rate=rate, blocksize=1024))
-        pcms.append(wav_encode(s, rate))
-        metas.append({"width": 0, "height": 0, "duration_ms": dur_ms})
-    return pa.table({
-        "media_id": pa.array(ids, pa.int64()),
-        "media_type": pa.array(["audio"] * n, pa.string()),
-        "payload": pa.array(flacs, pa.binary()),
-        "payload_pcm": pa.array(pcms, pa.binary()),
-        "meta": pa.array(metas, type=MEDIA_SCHEMA.field("meta").type),
-    })
-
-
-def synth_mjpeg_media_table(n: int = 48, seed: int = 29) -> pa.Table:
-    """Deterministic MJPG-AVI video table with a BMP TWIN column — the
-    compressed-video edition of the independent-codec contract. Every
-    frame is CONSTANT PER MCU with a flat quant table (the bitwise
-    exactness contract of functions/jpeg.py), so the whole AVI decode is
-    exactly reproducible; the twin is ONE tall BMP of the frames stacked
-    vertically, matching decode_image's filmstrip view of a video. Modes
-    cycle gray / 4:4:4 / 4:2:0 per video; the SQL oracle decodes the BMP
-    byte-by-byte and the exact channel sums must agree."""
-    from aspseek_ray.functions.jpeg import rgb_to_ycbcr, ycbcr_to_rgb
-    from aspseek_ray.functions.media import mjpeg_encode
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ones = np.ones(64, dtype=np.int32)
-    ids, avis, bmps, metas = [], [], [], []
-    for i in range(n):
-        mode = ("gray", "4:4:4", "4:2:0")[i % 3]
-        mcu = 16 if mode == "4:2:0" else 8
-        bw, bh = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        w, h = bw * mcu, bh * mcu
-        nf = int(rng.integers(1, 7))
-        fps = int(rng.integers(5, 31))
-        if mode == "gray":
-            cells = rng.integers(0, 256, size=(nf, bh, bw), dtype=np.uint8)
-            frames = np.repeat(np.repeat(cells, mcu, 1), mcu, 2)
-            expect = np.repeat(frames[..., None], 3, axis=3)
-            avis.append(mjpeg_encode(frames, fps, quant_override=ones))
-        else:
-            cells = rng.integers(0, 256, size=(nf, bh, bw, 3),
-                                 dtype=np.uint8)
-            frames = np.repeat(np.repeat(cells, mcu, 1), mcu, 2)
-            expect = ycbcr_to_rgb(rgb_to_ycbcr(frames))
-            avis.append(mjpeg_encode(frames, fps, quant_override=ones,
-                                     subsampling=mode))
-        ids.append(i)
-        bmps.append(bmp_encode(expect.reshape(nf * h, w, 3)))
-        metas.append({"width": w, "height": h,
-                      "duration_ms": int(nf * 1000 / fps)})
-    return pa.table({
-        "media_id": pa.array(ids, pa.int64()),
-        "media_type": pa.array(["video"] * n, pa.string()),
-        "payload": pa.array(avis, pa.binary()),
-        "payload_bmp": pa.array(bmps, pa.binary()),
-        "meta": pa.array(metas, type=MEDIA_SCHEMA.field("meta").type),
-    })
-
-
-def synth_jpeg_media_table(n: int = 96, seed: int = 17) -> pa.Table:
-    """Deterministic baseline-JPEG image table with a BMP TWIN column,
-    same independent-codec contract as :func:`synth_png_media_table` —
-    with the lossy-codec twist that makes a bitwise oracle possible:
-    every image is CONSTANT PER MCU (8x8 for gray/4:4:4, 16x16 for
-    4:2:0) and encoded with a flat all-ones quantization table, so the
-    whole FDCT->quantize->Huffman->IDCT chain is exactly lossless (see
-    functions/jpeg.py docstring). The twin holds the pixels the decode
-    must reproduce: the gray/RGB values themselves, through the JFIF
-    YCbCr round-trip for the color modes (the color formulas are the
-    published JFIF equations, unit-pinned in tests/test_jpeg.py; the
-    oracle here proves the TRANSFORM chain bitwise). Modes cycle
-    gray / 4:4:4 / 4:2:0, and every 4th image adds restart markers so
-    the RSTn resync path is oracle-covered too."""
-    from aspseek_ray.functions.jpeg import (
-        jpeg_encode,
-        rgb_to_ycbcr,
-        ycbcr_to_rgb,
-    )
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    ones = np.ones(64, dtype=np.int32)
-    ids, jpgs, bmps, metas = [], [], [], []
-    for i in range(n):
-        mode = ("gray", "4:4:4", "4:2:0")[i % 3]
-        mcu = 16 if mode == "4:2:0" else 8
-        bw, bh = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        w, h = bw * mcu, bh * mcu
-        ri = int(rng.integers(1, 4)) if i % 4 == 0 else 0
-        if mode == "gray":
-            cells = rng.integers(0, 256, size=(bh, bw), dtype=np.uint8)
-            img = np.repeat(np.repeat(cells, mcu, 0), mcu, 1)
-            jpgs.append(jpeg_encode(img, quant_override=ones,
-                                    restart_interval=ri))
-            expect = np.repeat(img[:, :, None], 3, axis=2)
-        else:
-            cells = rng.integers(0, 256, size=(bh, bw, 3), dtype=np.uint8)
-            img = np.repeat(np.repeat(cells, mcu, 0), mcu, 1)
-            jpgs.append(jpeg_encode(img, quant_override=ones,
-                                    subsampling=mode, restart_interval=ri))
-            expect = ycbcr_to_rgb(rgb_to_ycbcr(img))
-        ids.append(i)
-        bmps.append(bmp_encode(expect))
-        metas.append({"width": w, "height": h, "duration_ms": 0})
-    return pa.table({
-        "media_id": pa.array(ids, pa.int64()),
-        "media_type": pa.array(["image"] * n, pa.string()),
-        "payload": pa.array(jpgs, pa.binary()),
-        "payload_bmp": pa.array(bmps, pa.binary()),
-        "meta": pa.array(metas, type=MEDIA_SCHEMA.field("meta").type),
-    })
 
 
 def synth_png_media_table(n: int = 96, seed: int = 11) -> pa.Table:

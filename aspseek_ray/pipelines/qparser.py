@@ -100,21 +100,18 @@ def _lex(q: str) -> list[tuple[str, str]]:
             toks.append(("PHRASE", t[1:-1]))
         elif t.lower() in _OPS:
             toks.append((_OPS[t.lower()], t))
-        elif t[0] in "-!" and len(t) > 1:
-            toks.append(("NOT", t[0]))
-            body = t[1:]
-            if body.endswith("*") and len(body) > 1:
-                toks.append(("PREFIX", body[:-1]))
-            elif body.startswith("*") and len(body) > 1:
-                toks.append(("SUFFIX", body[1:]))
-            else:
-                toks.append(("WORD", body))
-        elif t.endswith("*") and len(t) > 1:
-            toks.append(("PREFIX", t[:-1]))
-        elif t.startswith("*") and len(t) > 1:
-            toks.append(("SUFFIX", t[1:]))
         else:
-            toks.append(("WORD", t))
+            if t[0] in "-!" and len(t) > 1:
+                toks.append(("NOT", t[0]))
+                t = t[1:]
+            if len(t) > 1 and t.startswith("*") and t.endswith("*"):
+                raise QueryError(f"term {t!r} has a wildcard on both ends")
+            if t.endswith("*") and len(t) > 1:
+                toks.append(("PREFIX", t[:-1]))
+            elif t.startswith("*") and len(t) > 1:
+                toks.append(("SUFFIX", t[1:]))
+            else:
+                toks.append(("WORD", t))
     return toks
 
 

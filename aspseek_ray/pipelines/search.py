@@ -40,8 +40,7 @@ import ray.data as rd
 
 from aspseek_ray.functions.hashing import fnv1a64, fnv1a64_arrow
 from aspseek_ray.functions.text import tokenize
-
-NUM_WORD_BUCKETS = 64  # must match the build below (index_products uses 64 too)
+from aspseek_ray.pipelines.index_products import NUM_WORD_BUCKETS
 
 DEFAULT_PHRASE = ("scan", "slow")
 DEFAULT_TERMS = ("spark", "window", "scan")

@@ -152,6 +152,24 @@ def test_twelve_round_chain_with_mixed_folds(ray_session, tmp_path):
     assert _merged_table(_read_bucketed_postings(idx)).equals(want)
 
 
+def _store_dirs(tmp_path, paths) -> "list[str]":
+    """One crawl-store round dir per pages file; the multi-round reader
+    needs url_hash columns like a crawl store, so synthesize them (store
+    schema: url_hash, url, text)."""
+    from aspseek_ray.functions.hashing import fnv1a64_arrow
+
+    dirs = []
+    for i, p in enumerate(paths):
+        t = pq.read_table(p)
+        t = t.add_column(0, "url_hash",
+                         pa.array(fnv1a64_arrow(t["url"]), pa.int64()))
+        d = tmp_path / f"store_round{i}"
+        d.mkdir()
+        pq.write_table(t, d / "part-0.parquet")
+        dirs.append(str(d))
+    return dirs
+
+
 def test_build_postings_latest_equals_final_rebuild(ray_session, tmp_path):
     """Multi-round rebuild (latest fetch wins) must equal a rebuild over
     the collapsed final corpus — the cost-model control bench.py times
@@ -159,18 +177,56 @@ def test_build_postings_latest_equals_final_rebuild(ray_session, tmp_path):
     from aspseek_ray.pipelines.index_products import build_postings_latest
 
     paths, urls, texts = _corpus_rounds(tmp_path, n_rounds=4, seed=21)
-    # the multi-round reader needs url_hash columns like a crawl store;
-    # synthesize them (store schema: url_hash, url, text)
-    from aspseek_ray.functions.hashing import fnv1a64_arrow
-    dirs = []
-    for i, p in enumerate(paths):
-        t = pq.read_table(p)
-        t = t.add_column(0, "url_hash",
-                         pa.array(fnv1a64_arrow(t["url"])))
-        d = tmp_path / f"store_round{i}"
-        d.mkdir()
-        pq.write_table(t, d / "part-0.parquet")
-        dirs.append(str(d))
-    got = _merged_table(build_postings_latest(dirs))
+    got = _merged_table(build_postings_latest(_store_dirs(tmp_path, paths)))
     want = _rebuild_table(tmp_path, urls, texts)
     assert got.equals(want)
+
+
+def test_round_with_no_stored_pages(ray_session, tmp_path):
+    """A round whose store holds zero rows (every fetch failed) stages
+    without error, still applies its purges, and leaves both the
+    with-deltas view and the folded main equal to a rebuild; the
+    unstaged update_postings_index takes the same round."""
+    from aspseek_ray.pipelines.index_products import build_postings_latest
+
+    paths, urls, texts = _corpus_rounds(tmp_path, n_rounds=3, seed=5)
+    empty = tmp_path / "empty.parquet"
+    _write_pages(empty, [], [])
+    dirs = _store_dirs(tmp_path, [paths[0], paths[1], empty, paths[2]])
+
+    idx = str(tmp_path / "idx")
+    build_postings(dirs[0], out_dir=idx)
+    for d in dirs[1:]:
+        update_postings_index_staged(idx, d, fold_threshold=float("inf"))
+    want = _merged_table(build_postings_latest(dirs))
+    assert want.equals(_rebuild_table(tmp_path, urls, texts))
+    assert _merged_table(read_postings_with_deltas(idx)).equals(want)
+    fold_deltas(idx)
+    assert _merged_table(_read_bucketed_postings(idx)).equals(want)
+
+    # the empty round's purge lands, staged and folded (urls[30] is not
+    # refetched by any later round of this corpus)
+    gone = urls[30]
+    final = {u: t for u, t in zip(urls, texts) if u != gone}
+    want = _rebuild_table(tmp_path, list(final), list(final.values()))
+    r = update_postings_index_staged(idx, dirs[2],
+                                     purge_doc_seqs=[fnv1a64(gone)],
+                                     fold_threshold=float("inf"))
+    assert r["staged_rows"] == 0
+    assert _merged_table(read_postings_with_deltas(idx)).equals(want)
+    r = update_postings_index_staged(idx, dirs[2], fold_threshold=0.0)
+    assert r["folded"] and r["touched"]
+    assert not list((tmp_path / "idx" / ".deltas").glob("round-*"))
+    assert _merged_table(_read_bucketed_postings(idx)).equals(want)
+    # a fold of an empty round with nothing to purge still reports it ran
+    r = update_postings_index_staged(idx, dirs[2], fold_threshold=0.0)
+    assert r["folded"] and not r["touched"]
+    assert not list((tmp_path / "idx" / ".deltas").glob("round-*"))
+
+    # the unstaged refresh takes the same round, with the same purge
+    idx2 = str(tmp_path / "idx2")
+    build_postings(dirs[0], out_dir=idx2)
+    for d in dirs[1:]:
+        update_postings_index(idx2, d)
+    update_postings_index(idx2, dirs[2], purge_doc_seqs=[fnv1a64(gone)])
+    assert _merged_table(_read_bucketed_postings(idx2)).equals(want)

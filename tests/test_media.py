@@ -82,11 +82,30 @@ def test_resize_nearest_exact():
 
 
 def test_compressed_formats_are_a_declared_seam():
-    # JPEG/PNG/GIF are now real codecs; WebP/MP3/H.264 stay honest seams
+    # only BMP/PNG/PCM16-WAV/Y4M decode; every other container is an
+    # honest seam that fails loudly instead of decoding to garbage
+    from aspseek_ray.functions.media import decode_image
     from aspseek_ray.pipelines.multimodal import DecodeStage
 
-    with pytest.raises(NotImplementedError):
-        DecodeStage()._features(b"RIFF\x00\x00\x00\x00WEBPVP8 ")
+    def wav_with_format(tag: int) -> bytes:
+        raw = wav_encode(np.zeros(8, np.int16), 8000)
+        return raw[:20] + struct.pack("<H", tag) + raw[22:]
+
+    payloads = [
+        b"RIFF\x00\x00\x00\x00WEBPVP8 ",                  # WebP
+        b"\xff\xd8\xff\xe0\x00\x10JFIF\x00",                # JPEG
+        b"GIF89a\x01\x00\x01\x00\x00\x00\x00",              # GIF
+        b"qoif\x00\x00\x00\x01\x00\x00\x00\x01\x03\x00",     # QOI
+        b"fLaC\x00\x00\x00\x22",                          # FLAC
+        b"RIFF\x00\x00\x00\x00AVI LIST",                   # AVI
+        wav_with_format(0x11),                              # IMA ADPCM
+        wav_with_format(0x07),                              # G.711 mu-law
+    ]
+    for p in payloads:
+        with pytest.raises(NotImplementedError):
+            DecodeStage()._features(p)
+        with pytest.raises(NotImplementedError):
+            decode_image(p)
 
 
 def test_decode_stage_real_features(ray_session):
@@ -304,7 +323,7 @@ def test_decode_image_normalizes_channels():
     rgb = rng.integers(0, 256, size=(5, 6, 3), dtype=np.uint8)
     assert (decode_image(bmp_encode(rgb)) == rgb).all()
     with pytest.raises(NotImplementedError):
-        decode_image(b"RIFF\x00\x00\x00\x00WEBPVP8 ")  # JPEG is real now
+        decode_image(b"RIFF\x00\x00\x00\x00WEBPVP8 ")
 
 
 def test_png_pixel_stats_match_bmp_twin(ray_session):
@@ -347,83 +366,3 @@ def test_resize_stage_handles_png(ray_session):
     for _, row in r.iterrows():      # PNG in -> REAL decodable PNG out
         img = png_decode(row["payload"])
         assert img.shape[:2] == (row["out_h"], row["out_w"])
-
-
-# ---------------------------------------------------------------- GIF codec
-def test_gif_roundtrip_palette_sizes():
-    from aspseek_ray.functions.media import gif_decode, gif_encode
-
-    rng = _png_rng()
-    for n_pal in (2, 4, 16, 64, 256):
-        pal = rng.integers(0, 256, size=(n_pal, 3), dtype=np.uint8)
-        idx = rng.integers(0, n_pal, size=(17, 23), dtype=np.uint8)
-        assert (gif_decode(gif_encode(idx, pal)) == pal[idx]).all()
-
-
-def test_gif_lzw_edge_cases():
-    """Constant / repetitive images exercise the KwKwK case and
-    dictionary growth; a 300x400 random 256-color image forces code
-    widths through 12 bits and the clear-code table reset."""
-    from aspseek_ray.functions.media import gif_decode, gif_encode
-
-    rng = _png_rng()
-    pal16 = rng.integers(0, 256, size=(16, 3), dtype=np.uint8)
-    for idx in (np.zeros((50, 77), np.uint8),
-                np.tile(np.arange(16, dtype=np.uint8), (64, 32))):
-        assert (gif_decode(gif_encode(idx, pal16)) == pal16[idx]).all()
-    pal = rng.integers(0, 256, size=(256, 3), dtype=np.uint8)
-    idx = rng.integers(0, 256, size=(300, 400), dtype=np.uint8)
-    assert (gif_decode(gif_encode(idx, pal)) == pal[idx]).all()
-
-
-def test_gif_spec_details():
-    """89a extension blocks are skipped; interlaced frames deinterlace;
-    non-GIF input is rejected."""
-    import struct
-
-    from aspseek_ray.functions.media import gif_decode, gif_encode
-
-    rng = _png_rng()
-    pal = rng.integers(0, 256, size=(8, 3), dtype=np.uint8)
-    idx = rng.integers(0, 8, size=(13, 9), dtype=np.uint8)
-    data = gif_encode(idx, pal)
-    # splice a Graphic Control Extension (89a) before the image block
-    img_at = data.index(b"\x2c", 13 + 3 * 8)
-    gce = b"\x21\xf9\x04\x00\x00\x00\x00\x00"
-    spliced = b"GIF89a" + data[6:img_at] + gce + data[img_at:]
-    assert (gif_decode(spliced) == pal[idx]).all()
-    # interlaced: rows stored in the 4-pass order, flag bit 0x40
-    h, w = idx.shape
-    passes = np.concatenate([np.arange(s, h, st)
-                             for s, st in ((0, 8), (4, 8), (2, 4), (1, 2))])
-    inter = gif_encode(idx[passes], pal)   # stored rows = pass order
-    at = inter.index(b"\x2c", 13 + 3 * 8)
-    inter = bytearray(inter)
-    inter[at + 9] |= 0x40                  # set interlace flag
-    assert (gif_decode(bytes(inter)) == pal[idx]).all()
-    with pytest.raises(ValueError, match="not a GIF"):
-        gif_decode(b"BM not a gif")
-
-
-def test_gif_pixel_stats_match_bmp_twin(ray_session):
-    """The independent-codec invariant behind multimodal_gif_pixel_stats:
-    the LZW decode and the BMP twin agree on exact channel sums."""
-    import ray.data as rd
-
-    from aspseek_ray.pipelines.multimodal import (
-        media_pixel_stats,
-        synth_gif_media_table,
-    )
-
-    t = synth_gif_media_table(12)
-    got = media_pixel_stats(
-        rd.from_arrow(t.select(["media_id", "media_type", "payload"]))
-    ).to_pandas().sort_values("media_id").reset_index(drop=True)
-    assert len(got) == 12
-    for i, row in got.iterrows():
-        img = bmp_decode(t["payload_bmp"][i].as_py())
-        s = img.reshape(-1, 3).sum(axis=0, dtype=np.int64)
-        n = img.shape[0] * img.shape[1]
-        assert row["mean_r"] == s[0] / n
-        assert row["mean_g"] == s[1] / n
-        assert row["mean_b"] == s[2] / n

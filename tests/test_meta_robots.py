@@ -18,6 +18,11 @@ def test_extract_meta_robots_rules():
         "noindex", "nofollow"}
     assert emr(b'<meta name="robots" content="all">') == frozenset()
     assert emr(b'<meta name="keywords" content="nofollow">') == frozenset()
+    # the name must be exactly robots: robotsx carries no directives,
+    # while an unquoted robots is still honoured
+    assert emr(b'<meta name=robotsx content="noindex">') == frozenset()
+    assert emr(b'<meta name="robotsx" content="noindex">') == frozenset()
+    assert emr(b'<meta name=robots content=noindex>') == {"noindex"}
     assert emr(b'<script>"<meta name=robots content=nofollow>"</script>'
                ) == frozenset()
     # multiple tags union

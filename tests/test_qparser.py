@@ -53,7 +53,7 @@ def test_parse_negation_forms():
 
 def test_parse_errors():
     for bad in ("", "   ", "(a", "a)", "AND", "a AND", "NOT a",
-                "NOT a OR b", "a OR NOT b", "!a !b"):
+                "NOT a OR b", "a OR NOT b", "!a !b", "*word*"):
         with pytest.raises(QueryError):
             parse_query(bad)
 
