@@ -131,20 +131,26 @@ def _media_parquet() -> str:
     return str(out)
 
 
-def _twin_media_parquet() -> str:
-    """Oracle input for the PNG pixel-stats query: PNG payloads (engine
-    side) plus a BMP twin of the same pixels (oracle side) — the SQL
-    decodes the BMP bytes, the engine decodes the PNG, and agreement
-    checks the codec against an independent decoder."""
+def _twin_media_parquet(kind: str) -> str:
+    """Oracle input for the compressed-codec stats queries (kind = 'png'
+    | 'qoi' | 'adpcm' | 'g711'): compressed payloads (engine side) plus
+    an uncompressed twin of the same pixels or samples (oracle side: BMP
+    for images, PCM16 WAV for audio) — the SQL decodes the twin bytes,
+    the engine decodes the compressed format, and agreement checks the
+    codec against an independent decoder."""
     import pyarrow.parquet as pq
 
-    out = Path(f"/tmp/aspseek_ray_oracle/{_CORPUS_VERSION}/media_png.parquet")
+    out = Path(f"/tmp/aspseek_ray_oracle/{_CORPUS_VERSION}/media_{kind}.parquet")
     if not out.exists():
-        from aspseek_ray.pipelines.multimodal import synth_png_media_table
+        from aspseek_ray.pipelines import multimodal
 
+        builder = {"png": multimodal.synth_png_media_table,
+                   "qoi": multimodal.synth_qoi_media_table,
+                   "g711": multimodal.synth_g711_media_table,
+                   "adpcm": multimodal.synth_adpcm_media_table}[kind]
         out.parent.mkdir(parents=True, exist_ok=True)
         tmp = out.with_suffix(".parquet.tmp")
-        pq.write_table(synth_png_media_table(96), tmp)
+        pq.write_table(builder(96), tmp)
         tmp.rename(out)
     return str(out)
 
@@ -480,9 +486,52 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         from aspseek_ray.pipelines.multimodal import media_pixel_stats
 
-        ds = rd.read_parquet(_twin_media_parquet(),
+        ds = rd.read_parquet(_twin_media_parquet("png"),
                              columns=["media_id", "media_type", "payload"])
         return media_pixel_stats(ds).to_pandas()
+
+    def multimodal_qoi_pixel_stats(sf_dir: str):
+        # oracle-backed INDEPENDENT-CODEC check, QOI edition: the engine
+        # runs the real QOI decoder (all six ops — RUN/INDEX/DIFF/LUMA/
+        # RGB/RGBA over the 64-slot rolling index; lossless by spec);
+        # the SQL oracle re-decodes a BMP twin of the same pixels
+        # byte-by-byte. Exact int64 byte sums must agree.
+        import ray.data as rd
+
+        from aspseek_ray.pipelines.multimodal import media_pixel_stats
+
+        ds = rd.read_parquet(_twin_media_parquet("qoi"),
+                             columns=["media_id", "media_type", "payload"])
+        return media_pixel_stats(ds).to_pandas()
+
+    def multimodal_adpcm_audio_stats(sf_dir: str):
+        # oracle-backed INDEPENDENT-CODEC check, compressed-audio
+        # edition: the engine decodes real IMA-ADPCM WAVs (4-bit coder,
+        # per-block state headers, block-vectorized reconstruction); the
+        # SQL oracle re-parses a PCM16 twin of the encoder's in-loop
+        # reconstruction — by the codec's defining invariant, the decode
+        # must match it BITWISE, so exact integer stats must agree.
+        import ray.data as rd
+
+        from aspseek_ray.pipelines.multimodal import media_audio_stats
+
+        ds = rd.read_parquet(_twin_media_parquet("adpcm"),
+                             columns=["media_id", "media_type", "payload"])
+        return media_audio_stats(ds).to_pandas()
+
+    def multimodal_g711_audio_stats(sf_dir: str):
+        # oracle-backed INDEPENDENT-CODEC check, telephony edition: the
+        # engine decodes real G.711 WAVs (mu-law 0x0007 / A-law 0x0006,
+        # normative table expansion); the SQL oracle re-parses a PCM16
+        # twin of the codes' expansion — the signal every conforming
+        # decoder must reproduce bitwise. Exact integer stats must agree.
+        import ray.data as rd
+
+        from aspseek_ray.pipelines.multimodal import media_audio_stats
+
+        ds = rd.read_parquet(_twin_media_parquet("g711"),
+                             columns=["media_id", "media_type", "payload"])
+        return media_audio_stats(ds).to_pandas()
 
     def multimodal_frames(sf_dir: str):
         from aspseek_ray.pipelines.multimodal import (
@@ -650,7 +699,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "multimodal_features": multimodal_features,
         "multimodal_pixel_stats": multimodal_pixel_stats,
         "multimodal_png_pixel_stats": multimodal_png_pixel_stats,
+        "multimodal_qoi_pixel_stats": multimodal_qoi_pixel_stats,
         "multimodal_audio_stats": multimodal_audio_stats,
+        "multimodal_adpcm_audio_stats": multimodal_adpcm_audio_stats,
+        "multimodal_g711_audio_stats": multimodal_g711_audio_stats,
         "multimodal_frame_luma": multimodal_frame_luma,
         "multimodal_frames": multimodal_frames,
     }
@@ -725,15 +777,17 @@ def _byte_sql(pos: str) -> str:
             f"strpos('0123456789abcdef', substr(hx, 2*({pos})+2, 1)) - 1)")
 
 
-def _wav_audio_sql(path: str) -> str:
+def _wav_audio_sql(path: str, col: str) -> str:
     """Exact channel-0 PCM16 stats re-parsed from raw WAV bytes in SQL:
     header fields at the encoder's canonical RIFF layout (fmt at 12,
     data at 36), samples as LE 16-bit words with two's-complement sign,
     zero crossings via a lag window — the independent-codec side of the
-    audio-stats oracle."""
+    audio-stats oracles. ``col`` is 'payload' for the plain PCM table
+    and 'payload_pcm' for the ADPCM and G.711 twin tables (the signal
+    every conforming decoder of those codecs must reproduce)."""
     return f"""
         WITH wavs AS (
-          SELECT media_id, lower(hex(payload)) AS hx
+          SELECT media_id, lower(hex({col})) AS hx
           FROM read_parquet('{path}')
           WHERE media_type = 'audio'),
         hdr AS (
@@ -776,7 +830,7 @@ def _bmp_pixel_sql(path: str, col: str) -> str:
     SQL (hex extraction, BITMAPINFOHEADER offsets, 4-byte row stride,
     BGR order) — the independent-codec side of every pixel-stats oracle:
     ``col`` is 'payload' for the plain BMP table and 'payload_bmp' for
-    the PNG twin table."""
+    the PNG and QOI twin tables."""
     return f"""
             WITH imgs AS (
               SELECT media_id, lower(hex({col})) AS hx
@@ -1634,12 +1688,31 @@ def oracle_sql() -> dict[str, str]:
         # two independent codecs (engine: zlib inflate + unfilter; oracle:
         # plain BMP hex extraction) must produce identical integer sums.
         "multimodal_png_pixel_stats":
-            _bmp_pixel_sql(_twin_media_parquet(), "payload_bmp"),
+            _bmp_pixel_sql(_twin_media_parquet("png"), "payload_bmp"),
+        # same contract, QOI edition: engine runs the real QOI decoder
+        # (lossless by spec); oracle decodes the BMP twin
+        "multimodal_qoi_pixel_stats":
+            _bmp_pixel_sql(_twin_media_parquet("qoi"), "payload_bmp"),
         "multimodal_pixel_stats":
             _bmp_pixel_sql(_media_parquet(), "payload"),
         # PCM16 WAV re-parsed from the payload bytes in SQL
         # (channel 0, like the engine stage)
-        "multimodal_audio_stats": _wav_audio_sql(_media_parquet()),
+        "multimodal_audio_stats":
+            _wav_audio_sql(_media_parquet(), "payload"),
+        # compressed-audio edition: the engine decodes the real IMA
+        # ADPCM payload (fmt 0x11, block-vectorized state machine);
+        # the oracle re-parses a PCM16 twin of the in-loop
+        # reconstruction — the signal a conforming decoder MUST
+        # reproduce bitwise
+        "multimodal_adpcm_audio_stats":
+            _wav_audio_sql(_twin_media_parquet("adpcm"),
+                           "payload_pcm"),
+        # telephony edition: the engine expands real G.711 codes
+        # (mu-law/A-law normative tables); the oracle re-parses a PCM16
+        # twin of the same expansion — bitwise by the spec's own tables
+        "multimodal_g711_audio_stats":
+            _wav_audio_sql(_twin_media_parquet("g711"),
+                           "payload_pcm"),
         # Y4M stream re-parsed in SQL: the ASCII header line is
         # recovered byte-aligned (first 0x0a byte, then unhex->decode),
         # W/H/F extracted by regex, then per-frame Y-plane byte sums

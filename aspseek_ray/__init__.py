@@ -8,7 +8,7 @@ Layout:
   sources/    corpus readers / pre-bucketing (pages, robots, seeds)
   stages/     Dataset stage builders (fetch join, parse, discover)
   pipelines/  end-to-end pipelines (crawl driver loop, index products, dedup,
-              similarity, text stats, BMP/PNG/WAV/Y4M multimodal stages)
+              similarity, text stats, BMP/PNG/QOI/WAV/Y4M multimodal stages)
 
 Nothing in this package calls ray.init()/ray.shutdown(); sessions are owned
 by bench.py / tests / the driver.

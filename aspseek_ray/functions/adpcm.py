@@ -1,5 +1,5 @@
 """IMA ADPCM WAV codec (Microsoft wFormatTag 0x11) in pure numpy — the
-compressed-audio sibling of the PNG/GIF/JPEG image codecs, from the
+compressed-audio sibling of the PNG/QOI image codecs, from the
 public IMA/DVI specification (the same 4-bit coder RFC 3551 registers as
 DVI4): 4 bits per sample, a 89-entry step-size table, and a per-block
 header carrying the (predictor, step index) state so every block decodes

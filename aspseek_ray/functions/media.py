@@ -1,6 +1,8 @@
 """Pure-numpy codecs for the uncompressed public media formats (plus
 PNG, whose only compression is stdlib ``zlib``) — the decode kernels
-behind pipelines/multimodal.py.
+behind pipelines/multimodal.py. Three small compressed codecs live in
+their own modules: QOI images (functions/qoi.py), and IMA-ADPCM and
+G.711 audio inside WAV (functions/adpcm.py, functions/g711.py).
 
 This container ships no PIL/ffmpeg/librosa, so the codecs are built from
 the public specs directly. Implemented here:
@@ -10,7 +12,8 @@ the public specs directly. Implemented here:
   in numpy.
 * **BMP** (Windows BITMAPINFOHEADER, 24-bit BI_RGB, bottom-up rows,
   4-byte row padding) — the canonical uncompressed image interchange.
-* **WAV** (RIFF/WAVE, PCM16 mono/stereo) — canonical uncompressed audio.
+* **WAV** (RIFF/WAVE, PCM16 mono/stereo) — canonical uncompressed audio;
+  ``wav_decode`` also dispatches the IMA-ADPCM and G.711 format tags.
 * **Y4M** (YUV4MPEG2, C444 plain ASCII header + raw frames) — the
   standard uncompressed video stream format ffmpeg reads/writes.
 
@@ -106,26 +109,36 @@ def wav_encode(samples: np.ndarray, rate: int = 16_000) -> bytes:
 
 
 def wav_decode(data: bytes) -> tuple[np.ndarray, int]:
-    """RIFF/WAVE PCM16 bytes -> ((n, ch) int16 samples, sample_rate).
+    """RIFF/WAVE bytes -> ((n, ch) int16 samples, sample_rate) for
+    PCM16, G.711 (A-law 0x0006 / mu-law 0x0007) and IMA-ADPCM (0x0011).
     Walks RIFF chunks, so extra chunks (LIST/fact) are tolerated."""
     if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise ValueError("not a WAV file")
-    pos, rate, ch, raw = 12, None, None, None
+    pos, rate, ch, raw, audio_fmt = 12, None, None, None, None
     while pos + 8 <= len(data):
         cid, size = struct.unpack_from("<4sI", data, pos)
         body = data[pos + 8: pos + 8 + size]
         if cid == b"fmt ":
             audio_fmt, ch, rate = struct.unpack_from("<HHI", body, 0)
             bits = struct.unpack_from("<H", body, 14)[0]
-            if audio_fmt != 1 or bits != 16:
+            if audio_fmt == 0x11:
+                # IMA ADPCM: the real compressed-audio codec
+                from aspseek_ray.functions.adpcm import adpcm_decode
+                return adpcm_decode(data)
+            if audio_fmt not in (1, 6, 7) or \
+                    bits != (16 if audio_fmt == 1 else 8):
                 raise NotImplementedError(
-                    f"only PCM16 WAV supported (got format {audio_fmt}, "
-                    f"{bits} bits)")
+                    "only PCM16, G.711 and IMA-ADPCM WAV supported "
+                    f"(got format {audio_fmt}, {bits} bits)")
         elif cid == b"data":
             raw = body
         pos += 8 + size + (size & 1)   # chunks are word-aligned
     if rate is None or raw is None:
         raise ValueError("WAV missing fmt/data chunk")
+    if audio_fmt in (6, 7):
+        # G.711 A-law / mu-law: table expansion to int16
+        from aspseek_ray.functions.g711 import g711_wav_decode
+        return g711_wav_decode(data, audio_fmt, ch, rate, raw)
     samples = np.frombuffer(raw, dtype="<i2")
     return samples.reshape(-1, ch), int(rate)
 
@@ -336,9 +349,9 @@ def png_decode(data: bytes) -> np.ndarray:
 
 
 def decode_image(payload: bytes) -> np.ndarray:
-    """Sniff + decode an image payload (BMP or PNG) to (h, w, 3) uint8
-    RGB: gray is replicated across channels, RGBA drops alpha — the
-    normalized shape every image stage downstream consumes."""
+    """Sniff + decode an image payload (BMP, PNG or QOI) to (h, w, 3)
+    uint8 RGB: gray is replicated across channels, RGBA drops alpha —
+    the normalized shape every image stage downstream consumes."""
     if payload[:2] == b"BM":
         return bmp_decode(payload)
     if payload[:8] == _PNG_SIG:
@@ -346,5 +359,9 @@ def decode_image(payload: bytes) -> np.ndarray:
         if img.ndim == 2:
             return np.repeat(img[:, :, None], 3, axis=2)
         return np.ascontiguousarray(img[:, :, :3])
+    if payload[:4] == b"qoif":
+        from aspseek_ray.functions.qoi import qoi_decode
+        img = qoi_decode(payload)
+        return np.ascontiguousarray(img[:, :, :3])
     raise NotImplementedError(
-        "unknown image container (only BMP and PNG are decoded)")
+        "unknown image container (only BMP, PNG and QOI are decoded)")

@@ -18,7 +18,7 @@ Index slot = (3r + 5g + 7b + 11a) % 64, updated once per decoded chunk.
 All deltas wrap mod 256. Header: b"qoif", BE u32 width/height, u8
 channels (3|4), u8 colorspace; trailer: seven 0x00 then 0x01.
 
-Like the GIF/PNG lanes this codec is LOSSLESS, so the independent-codec
+Like the PNG lane this codec is LOSSLESS, so the independent-codec
 oracle contract applies directly: the engine decodes QOI payloads, the
 SQL oracle re-decodes a BMP twin of the same pixels, and the exact
 integer channel sums must agree (see multimodal.synth_qoi_media_table).

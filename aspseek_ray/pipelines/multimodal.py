@@ -2,8 +2,9 @@
 with typed metadata, processed by actor-pool map_batches stages.
 
 The decode kernels are REAL (functions/media.py, pure numpy + stdlib
-zlib): BMP and PNG images (PNG: 8-bit gray/RGB/RGBA, all five scanline
-filters, CRC-verified), PCM16 WAV audio, and YUV4MPEG2 (Y4M C444) video.
+zlib): BMP, PNG and QOI images (PNG: 8-bit gray/RGB/RGBA, all five
+scanline filters, CRC-verified), WAV audio (PCM16, G.711 and IMA-ADPCM),
+and YUV4MPEG2 (Y4M C444) video.
 Payloads are sniffed by magic bytes; every other container raises
 NotImplementedError — that seam is where PIL/ffmpeg would plug in, and
 those libraries are not in this container. The synthetic media
@@ -47,12 +48,14 @@ def _sniff(payload: bytes) -> str:
         return "bmp"
     if payload[:8] == b"\x89PNG\r\n\x1a\n":
         return "png"
+    if payload[:4] == b"qoif":
+        return "qoi"
     if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
         return "wav"
     if payload[:9] == b"YUV4MPEG2":
         return "y4m"
     raise NotImplementedError(
-        "unknown media container (only BMP, PNG, PCM16 WAV and Y4M are "
+        "unknown media container (only BMP, PNG, QOI, WAV and Y4M are "
         "decoded; others need PIL/ffmpeg, not present in this container)")
 
 
@@ -73,7 +76,7 @@ class DecodeStage:
     def _features(self, payload: bytes) -> np.ndarray:
         kind = _sniff(payload)
         f = np.zeros(FEATURE_DIM, dtype=np.float32)
-        if kind in ("bmp", "png"):
+        if kind in ("bmp", "png", "qoi"):
             img = decode_image(payload).astype(np.float32)
             h, w = img.shape[:2]
             luma = img @ np.array([0.299, 0.587, 0.114], np.float32)
@@ -261,10 +264,19 @@ class AudioStatsStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         keep = pa.compute.equal(batch["media_type"], "audio")
         batch = batch.filter(keep)
+        payloads = [p or b"" for p in batch["payload"].to_pylist()]
+        # ADPCM payloads decode in ONE vectorized pass: all their
+        # (block, channel) streams share a single state loop, so the
+        # per-sample cost is paid per batch, not per clip (~20x on a
+        # 96-clip batch vs per-payload decoding)
+        from aspseek_ray.functions.adpcm import adpcm_decode_many, is_adpcm
+        adp = [i for i, p in enumerate(payloads) if is_adpcm(p)]
+        pre = dict(zip(adp, adpcm_decode_many([payloads[i] for i in adp]))
+                   ) if adp else {}
         ids, ns, rates, peaks, means, zcs = [], [], [], [], [], []
-        for mid, p in zip(batch["media_id"].to_pylist(),
-                          batch["payload"].to_pylist()):
-            samples, rate = wav_decode(p or b"")
+        for i, (mid, p) in enumerate(zip(batch["media_id"].to_pylist(),
+                                         payloads)):
+            samples, rate = pre[i] if i in pre else wav_decode(p)
             s = samples[:, 0].astype(np.int64)
             n = len(s)
             ids.append(mid)
@@ -372,6 +384,139 @@ def synth_media_table(n: int = 256, seed: int = 9) -> pa.Table:
 
 def synth_media_dataset(n: int = 256, seed: int = 9) -> rd.Dataset:
     return rd.from_arrow(synth_media_table(n, seed))
+
+
+def synth_qoi_media_table(n: int = 96, seed: int = 23) -> pa.Table:
+    """Deterministic QOI image table with a BMP TWIN column, same
+    independent-codec contract as :func:`synth_png_media_table`:
+    ``payload`` is real QOI bytes (RGB and RGBA alternating; image
+    content cycles flat/gradient/palette/noise/alpha-step regions so all
+    six QOI ops — RUN, INDEX, DIFF, LUMA, RGB, RGBA — occur in the
+    corpus), ``payload_bmp`` the same pixels as 24-bit BMP (alpha
+    dropped; alpha never reaches the pixel-stats query)."""
+    from aspseek_ray.functions.qoi import qoi_encode
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ids, qois, bmps, metas = [], [], [], []
+    for i in range(n):
+        w, h = int(rng.integers(8, 64)), int(rng.integers(8, 64))
+        ch = (3, 4)[i % 2]
+        mode = i % 5
+        if mode == 0:      # flat -> RUN chunks
+            img = np.full((h, w, ch), int(rng.integers(0, 256)), np.uint8)
+        elif mode == 1:    # smooth gradient -> DIFF/LUMA
+            base = (np.add.outer(np.arange(h), np.arange(w)) % 256)
+            img = np.stack([base] * ch, axis=2).astype(np.uint8)
+            img[..., 1] = (img[..., 1] + rng.integers(
+                0, 3, (h, w), dtype=np.uint8))
+        elif mode == 2:    # tiny palette -> INDEX replays
+            pal = rng.integers(0, 256, (6, ch), dtype=np.uint8)
+            img = pal[rng.integers(0, 6, (h, w))]
+        elif mode == 3:    # noise -> RGB/RGBA literals
+            img = rng.integers(0, 256, (h, w, ch), dtype=np.uint8)
+        else:              # alpha steps on RGBA -> RGBA literals
+            img = np.full((h, w, ch), 40, np.uint8)
+            if ch == 4:
+                img[h // 2:, :, 3] = 128
+            img[::3, ::3, 0] = 200
+        ids.append(i)
+        qois.append(qoi_encode(np.ascontiguousarray(img)))
+        bmps.append(bmp_encode(np.ascontiguousarray(img[:, :, :3])))
+        metas.append({"width": w, "height": h, "duration_ms": 0})
+    return pa.table({
+        "media_id": pa.array(ids, pa.int64()),
+        "media_type": pa.array(["image"] * n, pa.string()),
+        "payload": pa.array(qois, pa.binary()),
+        "payload_bmp": pa.array(bmps, pa.binary()),
+        "meta": pa.array(metas, type=MEDIA_SCHEMA.field("meta").type),
+    })
+
+
+
+def synth_adpcm_media_table(n: int = 96, seed: int = 19) -> pa.Table:
+    """Deterministic IMA-ADPCM audio table with a PCM16-WAV TWIN column,
+    the compressed-audio edition of the independent-codec contract:
+    ``payload`` is a real MS IMA-ADPCM WAV (fmt 0x11; tones + noise,
+    mono/stereo, whole and partial final blocks), ``payload_pcm`` a PCM16
+    WAV of the encoder's IN-LOOP reconstruction — the signal every
+    conforming ADPCM decoder must reproduce BITWISE, because an ADPCM
+    encoder is defined by quantizing against the decoder's own state (see
+    functions/adpcm.py). The engine decodes the ADPCM payload; the SQL
+    oracle re-parses the PCM twin byte-by-byte; exact integer sample
+    stats must agree."""
+    from aspseek_ray.functions.adpcm import adpcm_encode
+    from aspseek_ray.functions.media import wav_encode
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ids, adps, pcms, metas = [], [], [], []
+    for i in range(n):
+        rate = (8000, 16000)[i % 2]
+        ch = (1, 2)[(i // 2) % 2]
+        dur_ms = int(rng.integers(20, 400))
+        nsamp = rate * dur_ms // 1000
+        t = np.arange(nsamp, dtype=np.float64) / rate
+        freq = float(rng.integers(80, 3000))
+        sig = (np.sin(2 * np.pi * freq * t) * float(rng.integers(5000, 25000))
+               + rng.normal(0.0, 400.0, nsamp))
+        s = np.clip(sig, -32768, 32767).astype(np.int16)
+        if ch == 2:
+            s = np.stack([s, np.roll(s, nsamp // 3)], axis=1)
+        payload, recon = adpcm_encode(s, rate=rate)
+        ids.append(i)
+        adps.append(payload)
+        pcms.append(wav_encode(recon, rate))
+        metas.append({"width": 0, "height": 0, "duration_ms": dur_ms})
+    return pa.table({
+        "media_id": pa.array(ids, pa.int64()),
+        "media_type": pa.array(["audio"] * n, pa.string()),
+        "payload": pa.array(adps, pa.binary()),
+        "payload_pcm": pa.array(pcms, pa.binary()),
+        "meta": pa.array(metas, type=MEDIA_SCHEMA.field("meta").type),
+    })
+
+
+
+def synth_g711_media_table(n: int = 96, seed: int = 31) -> pa.Table:
+    """Deterministic G.711 audio table with a PCM16-WAV TWIN column,
+    telephony edition of the independent-codec contract: ``payload`` is
+    a real G.711 WAV (format tags 0x0007 mu-law / 0x0006 A-law
+    alternating, mono/stereo, with the customary fact chunk), and
+    ``payload_pcm`` a PCM16 WAV of the codes' normative table expansion
+    — the signal every conforming G.711 decoder must reproduce BITWISE
+    (the expansion tables ARE the spec; see functions/g711.py). The
+    engine decodes the companded payload; the SQL oracle re-parses the
+    PCM twin byte-by-byte; exact integer sample stats must agree."""
+    from aspseek_ray.functions.g711 import g711_wav_encode
+    from aspseek_ray.functions.media import wav_encode
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ids, g711s, pcms, metas = [], [], [], []
+    for i in range(n):
+        law = ("ulaw", "alaw")[i % 2]
+        ch = (1, 2)[(i // 2) % 2]
+        rate = 8000
+        dur_ms = int(rng.integers(20, 400))
+        nsamp = rate * dur_ms // 1000
+        t = np.arange(nsamp, dtype=np.float64) / rate
+        freq = float(rng.integers(80, 3400))        # telephony band
+        sig = (np.sin(2 * np.pi * freq * t)
+               * float(rng.integers(2000, 28000))
+               + rng.normal(0.0, 300.0, nsamp))
+        s = np.clip(sig, -32768, 32767).astype(np.int16)
+        if ch == 2:
+            s = np.stack([s, np.roll(s, nsamp // 3)], axis=1)
+        payload, recon = g711_wav_encode(s, rate=rate, law=law)
+        ids.append(i)
+        g711s.append(payload)
+        pcms.append(wav_encode(recon, rate))
+        metas.append({"width": 0, "height": 0, "duration_ms": dur_ms})
+    return pa.table({
+        "media_id": pa.array(ids, pa.int64()),
+        "media_type": pa.array(["audio"] * n, pa.string()),
+        "payload": pa.array(g711s, pa.binary()),
+        "payload_pcm": pa.array(pcms, pa.binary()),
+        "meta": pa.array(metas, type=MEDIA_SCHEMA.field("meta").type),
+    })
 
 
 def synth_png_media_table(n: int = 96, seed: int = 11) -> pa.Table:

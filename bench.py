@@ -263,7 +263,8 @@ def run_bench() -> dict:
                      "bpe_token_counts",
                      "orders_price_quantiles", "unigram_logprob_scores", "mmr_topk",
                      "sample_documents", "duplicate_spans",
-                     "multimodal_png_pixel_stats", "bpe_train_merges"]
+                     "multimodal_png_pixel_stats",
+                     "multimodal_adpcm_audio_stats", "bpe_train_merges"]
     em.corpus_for(SF_DIR)   # warm the corpus cache so crawl_anchor_postings
     # times the pipeline, not one-time fixture generation
     for name in bench_queries:

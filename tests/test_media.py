@@ -82,8 +82,9 @@ def test_resize_nearest_exact():
 
 
 def test_compressed_formats_are_a_declared_seam():
-    # only BMP/PNG/PCM16-WAV/Y4M decode; every other container is an
-    # honest seam that fails loudly instead of decoding to garbage
+    # only BMP/PNG/QOI/WAV (PCM16, G.711, IMA-ADPCM)/Y4M decode; every
+    # other container is an honest seam that fails loudly instead of
+    # decoding to garbage
     from aspseek_ray.functions.media import decode_image
     from aspseek_ray.pipelines.multimodal import DecodeStage
 
@@ -95,11 +96,10 @@ def test_compressed_formats_are_a_declared_seam():
         b"RIFF\x00\x00\x00\x00WEBPVP8 ",                  # WebP
         b"\xff\xd8\xff\xe0\x00\x10JFIF\x00",                # JPEG
         b"GIF89a\x01\x00\x01\x00\x00\x00\x00",              # GIF
-        b"qoif\x00\x00\x00\x01\x00\x00\x00\x01\x03\x00",     # QOI
         b"fLaC\x00\x00\x00\x22",                          # FLAC
         b"RIFF\x00\x00\x00\x00AVI LIST",                   # AVI
-        wav_with_format(0x11),                              # IMA ADPCM
-        wav_with_format(0x07),                              # G.711 mu-law
+        wav_with_format(0x03),                              # IEEE float
+        wav_with_format(0x55),                              # MP3 in WAV
     ]
     for p in payloads:
         with pytest.raises(NotImplementedError):
