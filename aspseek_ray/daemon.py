@@ -12,11 +12,13 @@ the semantics:
 * ``SearchdServer`` — threaded TCP server answering SEARCH requests via
   :func:`aspseek_ray.pipelines.search.ranked_crawl_search` (the full
   qparser -> boolean -> tf·idf×pagerank -> site-group -> excerpt
-  lifecycle).  Like the reference, the daemon computes the full result
-  set ONCE per distinct (query, grouping) pair, stores it in the LRU
-  query cache (T6, ``src/qcache.cpp`` role), and answers page requests
-  by slicing the cached set — so paging through results never re-runs
-  the Ray pipeline.
+  lifecycle; the ranks are computed once per pages table, by the first
+  query that needs them, and read from a disk cache after that —
+  ``index_products.ensure_ranks``).  Like the reference, the daemon
+  computes the full result set ONCE per distinct (query, grouping)
+  pair, stores it in the LRU query cache (T6, ``src/qcache.cpp`` role),
+  and answers page requests by slicing the cached set — so paging
+  through results never re-runs the Ray pipeline.
 * ``StoredServer`` — GET (zlib-compressed stored body, the wire format
   the reference's stored daemon uses) and EXCERPT (server-side snippet
   slicing via :func:`aspseek_ray.pipelines.search.excerpts`, which is

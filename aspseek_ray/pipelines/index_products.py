@@ -11,7 +11,8 @@ inverted-index / citation / rank machinery rebuilt as Dataset jobs):
 * ``pagerank`` — iterative popularity rank over the link graph (O28,
   reference src/ranks.cpp `index -R`): per-iteration broadcast of the rank
   vector + per-batch contribution partials + one small groupby per
-  iteration.
+  iteration. ``ensure_ranks`` computes it once per pages table and caches
+  the (url, rank) rows on disk for ranked search to read.
 * ``crawl_status_stats`` / ``host_stats`` — `index -S` counters (O29).
 """
 
@@ -668,8 +669,13 @@ def extract_link_edges(pages_path: str) -> rd.Dataset:
     return ds.map_batches(edges, batch_format="pyarrow")
 
 
+# node count up to which pagerank broadcasts the rank vector
+PAGERANK_BROADCAST_MAX_NODES = 5_000_000
+
+
 def pagerank(pages_path: str, iterations: int = 10, damping: float = 0.85,
-             ndigits: int = 6, broadcast_max_nodes: int = 5_000_000) -> pa.Table:
+             ndigits: int = 6,
+             broadcast_max_nodes: int = PAGERANK_BROADCAST_MAX_NODES) -> pa.Table:
     """Iterative PageRank over the corpus link graph (O28; reference
     src/ranks.cpp). Two physical plans behind one semantic (identical
     ranks, validated by test_pagerank_paths_agree):
@@ -763,8 +769,8 @@ def _pagerank_joined_ds(pages_path: str, n: int, iterations: int,
                         damping: float, ndigits: int,
                         num_partitions: int | None = None) -> rd.Dataset:
     """Keyed-join PageRank body returning the (url, rank) Dataset — the
-    collected variant above is a thin wrapper; distributed consumers
-    (pagerank_ds) take the Dataset straight into their joins."""
+    collected variant above is a thin wrapper; ensure_ranks writes the
+    Dataset straight to parquet."""
     from aspseek_ray.runtime import join_partitions
 
     if num_partitions is None:
@@ -841,20 +847,6 @@ def _pagerank_joined_ds(pages_path: str, n: int, iterations: int,
         lambda b: pa.table({"url": b["url"],
                             "rank": pc.round(b["rank"], ndigits=ndigits)}),
         batch_format="pyarrow")
-
-
-def pagerank_ds(pages_path: str, iterations: int = 10, damping: float = 0.85,
-                ndigits: int = 6,
-                broadcast_max_nodes: int = 5_000_000) -> rd.Dataset:
-    """Dataset-returning pagerank for downstream DISTRIBUTED consumers
-    (e.g. the ranked-search rank join): same two plans and identical
-    values as ``pagerank``, but the keyed plan hands back its (url, rank)
-    Dataset without collecting O(nodes) rows anywhere."""
-    n = rd.read_parquet(pages_path, columns=["url"]).count()
-    if n <= broadcast_max_nodes:
-        return rd.from_arrow(
-            _pagerank_broadcast(pages_path, n, iterations, damping, ndigits))
-    return _pagerank_joined_ds(pages_path, n, iterations, damping, ndigits)
 
 
 def crawl_status_stats(trace: pa.Table) -> pa.Table:
@@ -937,40 +929,62 @@ def ensure_anchor_index(pages_path: str) -> str:
     word_bucket — so an anchor-boosted query reads only its terms'
     partitions, exactly like the body postings index. Same atomic
     rename-into-place protocol as the search-side index builds."""
-    import hashlib
-    import json
-    import os
     from pathlib import Path
 
-    st = os.stat(pages_path)
-    key = hashlib.blake2s(
-        f"{Path(pages_path).resolve()}:{st.st_size}:{st.st_mtime_ns}:anchor1"
-        .encode(), digest_size=8).hexdigest()
-    out = Path("/tmp/aspseek_ray_anchor_idx") / key
-    if (out / "_done").exists():
-        return str(out)
-    # fully distributed: anchor rows -> one (word, url) groupby -> bucket
-    # stamp -> partitioned write; the aggregated index never touches the
-    # driver (anchor_postings' collected-Table form is the oracle surface,
-    # not the build path)
-    agg = _anchor_rows_ds(pages_path).groupby(["word", "url"]).aggregate(
-        Count(alias_name="n_refs"))
+    from aspseek_ray.runtime import build_once, source_key
 
-    def stamp(batch: pa.Table) -> pa.Table:
-        bucket = (np.abs(fnv1a64_arrow(batch["word"].combine_chunks()))
-                  % NUM_WORD_BUCKETS)
-        return batch.append_column("word_bucket",
-                                   pa.array(bucket.astype(np.int32)))
+    def build(tmp: Path) -> None:
+        # fully distributed: anchor rows -> one (word, url) groupby ->
+        # bucket stamp -> partitioned write; the aggregated index never
+        # touches the driver (anchor_postings' collected-Table form is the
+        # oracle surface, not the build path)
+        agg = _anchor_rows_ds(pages_path).groupby(["word", "url"]).aggregate(
+            Count(alias_name="n_refs"))
 
-    build = Path(f"{out}.tmp{os.getpid()}")
-    build.mkdir(parents=True, exist_ok=True)
-    (agg.map_batches(stamp, batch_format="pyarrow")
-        .write_parquet(str(build), partition_cols=["word_bucket"]))
-    (build / "_done").write_text(json.dumps({"ok": True}))
-    try:
-        build.rename(out)
-    except OSError:
-        import shutil
+        def stamp(batch: pa.Table) -> pa.Table:
+            bucket = (np.abs(fnv1a64_arrow(batch["word"].combine_chunks()))
+                      % NUM_WORD_BUCKETS)
+            return batch.append_column("word_bucket",
+                                       pa.array(bucket.astype(np.int32)))
 
-        shutil.rmtree(build, ignore_errors=True)  # another builder won
-    return str(out)
+        (agg.map_batches(stamp, batch_format="pyarrow")
+            .write_parquet(str(tmp), partition_cols=["word_bucket"]))
+
+    out = Path("/tmp/aspseek_ray_anchor_idx") / source_key(pages_path,
+                                                           "anchor1")
+    return str(build_once(out, build))
+
+
+# the PageRank parameters of the cached rank table: pagerank's defaults
+# (iterations, damping, ndigits), part of the cache key
+_RANK_PARAMS = (10, 0.85, 6)
+
+
+def ensure_ranks(pages_path: str) -> str:
+    """Build (once, disk-cached by source identity) the PageRank table of
+    a pages table: (url, rank) parquet rows plus a ``_manifest.json``
+    recording ``n_nodes`` (the pages row count). Ranks depend on the
+    pages alone, so — like the reference, which computes them at index
+    time (src/ranks.cpp, `index -R`) and lets searchd read them — ranked
+    search reads this table instead of iterating over the link graph on
+    every query. Built lazily by the first query that needs it; the
+    keyed plan's Dataset is written straight to parquet, so nothing
+    O(nodes) is collected on the driver. Same atomic rename-into-place
+    protocol as ensure_anchor_index."""
+    import json
+    from pathlib import Path
+
+    from aspseek_ray.runtime import build_once, source_key
+
+    def build(tmp: Path) -> None:
+        n = rd.read_parquet(pages_path, columns=["url"]).count()
+        if n <= PAGERANK_BROADCAST_MAX_NODES:
+            ranks = rd.from_arrow(pagerank(pages_path, *_RANK_PARAMS))
+        else:
+            ranks = _pagerank_joined_ds(pages_path, n, *_RANK_PARAMS)
+        ranks.write_parquet(str(tmp))
+        (tmp / "_manifest.json").write_text(json.dumps({"n_nodes": n}))
+
+    tag = "ranks1:" + ":".join(map(str, _RANK_PARAMS))
+    out = Path("/tmp/aspseek_ray_ranks") / source_key(pages_path, tag)
+    return str(build_once(out, build))

@@ -11,7 +11,8 @@ those libraries are not in this container. The synthetic media
 generators emit real bytes any external tool could open.
 
 At 100-TB scale: payloads dominate block size — keep ``batch_size`` small
-(64–256 rows), ``concurrency`` sized to the node, and never carry the
+(64–256 rows), ``concurrency`` (the upper bound of an actor pool that
+starts at one actor) sized to the node, and never carry the
 binary column past the stage that needs it (the stages below drop it from
 their output)."""
 
@@ -117,7 +118,7 @@ def extract_media_features(ds: rd.Dataset, concurrency: int = 2,
     """Run the decode actor pool over a MEDIA_SCHEMA dataset. The binary
     payload column is dropped by the stage output (never carried further)."""
     return ds.map_batches(DecodeStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+                          batch_size=batch_size, concurrency=(1, concurrency))
 
 
 class ResizeStage:
@@ -199,7 +200,7 @@ def resize_images(ds: rd.Dataset, max_side: int = 256,
                   concurrency: int = 2, batch_size: int = 128) -> rd.Dataset:
     return ds.map_batches(ResizeStage, fn_constructor_kwargs={"max_side": max_side},
                           batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+                          concurrency=(1, concurrency))
 
 
 def sample_frames(ds: rd.Dataset, stride_ms: int = 1000, max_frames: int = 16,
@@ -208,7 +209,7 @@ def sample_frames(ds: rd.Dataset, stride_ms: int = 1000, max_frames: int = 16,
                           fn_constructor_kwargs={"stride_ms": stride_ms,
                                                  "max_frames": max_frames},
                           batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+                          concurrency=(1, concurrency))
 
 
 class PixelStatsStage:
@@ -250,7 +251,7 @@ def media_pixel_stats(ds: rd.Dataset, concurrency: int = 2,
     oracle-checkable slice of the decode stage (DecodeStage's float32
     feature lanes are NOT bit-mirrorable in SQL; integer byte sums are)."""
     return ds.map_batches(PixelStatsStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+                          batch_size=batch_size, concurrency=(1, concurrency))
 
 
 class AudioStatsStage:
@@ -298,7 +299,7 @@ def media_audio_stats(ds: rd.Dataset, concurrency: int = 2,
     """Exact channel-0 PCM stats over a MEDIA_SCHEMA dataset — the
     oracle-checkable slice of the audio decode path."""
     return ds.map_batches(AudioStatsStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+                          batch_size=batch_size, concurrency=(1, concurrency))
 
 
 class FrameLumaStage:
@@ -337,7 +338,7 @@ def media_frame_luma(ds: rd.Dataset, concurrency: int = 2,
     """Exact per-frame luma means over a MEDIA_SCHEMA dataset — the
     oracle-checkable slice of the video decode path."""
     return ds.map_batches(FrameLumaStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+                          batch_size=batch_size, concurrency=(1, concurrency))
 
 
 def synth_media_table(n: int = 256, seed: int = 9) -> pa.Table:

@@ -25,10 +25,8 @@ Pinned semantics (tokenizer = functions/text.py::tokenize):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +39,7 @@ import ray.data as rd
 from aspseek_ray.functions.hashing import fnv1a64, fnv1a64_arrow
 from aspseek_ray.functions.text import tokenize
 from aspseek_ray.pipelines.index_products import NUM_WORD_BUCKETS
+from aspseek_ray.runtime import build_once, source_key
 
 DEFAULT_PHRASE = ("scan", "slow")
 DEFAULT_TERMS = ("spark", "window", "scan")
@@ -53,18 +52,15 @@ def _ensure_doc_postings(sf_dir: str) -> tuple[str, int]:
     (word, word_bucket, doc_seq=doc_id, positions). No stopword dropping —
     the query layer decides. Returns (postings_dir, n_docs)."""
     doc_path = f"{sf_dir}/documents.parquet"
-    st = os.stat(doc_path)
     # :v2 — format bump: posting rows now carry the doc's token count
     # (doclen, the Lucene-norms denormalization BM25 needs) and the
     # manifest records total_tokens for avgdl.
-    key = hashlib.blake2s(
-        f"{Path(doc_path).resolve()}:{st.st_size}:{st.st_mtime_ns}:v2".encode(),
-        digest_size=8).hexdigest()
-    out = Path("/tmp/aspseek_ray_postings") / key
-    manifest = out / "manifest.json"
-    if manifest.exists():
-        return str(out), json.loads(manifest.read_text())["n_docs"]
+    out = Path("/tmp/aspseek_ray_postings") / source_key(doc_path, "v2")
+    build_once(out, lambda build: _build_doc_postings(doc_path, build))
+    return str(out), _index_manifest(str(out))["n_docs"]
 
+
+def _build_doc_postings(doc_path: str, build: Path) -> None:
     ds = rd.read_parquet(doc_path, columns=["doc_id", "text"])
     n_docs = ds.count()
 
@@ -94,10 +90,6 @@ def _ensure_doc_postings(sf_dir: str) -> tuple[str, int]:
             "doclen": pa.array(doclens, pa.int64()),
         })
 
-    # build into a pid-unique dir, atomic-rename into place (concurrent
-    # builders race benignly: first rename wins, losers discard)
-    build = Path(f"{out}.tmp{os.getpid()}")
-    build.mkdir(parents=True, exist_ok=True)
     (ds.map_batches(explode, batch_format="pyarrow")
        .write_parquet(str(build), partition_cols=["word_bucket"]))
     # total corpus tokens (for BM25 avgdl): every token occurrence sits in
@@ -114,13 +106,6 @@ def _ensure_doc_postings(sf_dir: str) -> tuple[str, int]:
               .sum("n") or 0)
     (build / "manifest.json").write_text(
         json.dumps({"n_docs": n_docs, "total_tokens": total_tokens}))
-    try:
-        build.rename(out)
-    except OSError:
-        import shutil
-
-        shutil.rmtree(build, ignore_errors=True)  # another builder won
-    return str(out), n_docs
 
 
 def _ensure_stem_forms(pdir: str) -> str:
@@ -131,9 +116,11 @@ def _ensure_stem_forms(pdir: str) -> str:
     instead of sweeping the whole vocabulary. Built lazily from an
     existing postings dir (covers caches created before this sidecar
     existed); atomic rename-into-place like the postings build."""
-    out = Path(pdir) / "stem_forms"
-    if out.exists():
-        return str(out)
+    return str(build_once(Path(pdir) / "stem_forms",
+                          lambda build: _build_stem_forms(pdir, build)))
+
+
+def _build_stem_forms(pdir: str, build: Path) -> None:
     from ray.data.aggregate import Count
 
     from aspseek_ray.functions.morphology import stem
@@ -150,17 +137,8 @@ def _ensure_stem_forms(pdir: str) -> str:
                          "stem_bucket": pa.array(bucket.astype(np.int32)),
                          "word": batch["word"]})
 
-    build = Path(f"{out}.tmp{os.getpid()}")
-    build.mkdir(parents=True, exist_ok=True)
     (vocab.map_batches(to_forms, batch_format="pyarrow")
           .write_parquet(str(build), partition_cols=["stem_bucket"]))
-    try:
-        build.rename(out)
-    except OSError:
-        import shutil
-
-        shutil.rmtree(build, ignore_errors=True)  # another builder won
-    return str(out)
 
 
 # Posting-row budget above which the set algebra leaves the driver: below
@@ -556,7 +534,7 @@ def _ranked_crawl_distributed(store: "rd.Dataset", store_dir: str,
     from ray.data.aggregate import Count, Sum
 
     from aspseek_ray.functions.url import host_of
-    from aspseek_ray.pipelines.index_products import pagerank_ds
+    from aspseek_ray.pipelines.index_products import ensure_ranks
     from aspseek_ray.runtime import join_partitions
 
     def _empty() -> pa.Table:
@@ -582,8 +560,10 @@ def _ranked_crawl_distributed(store: "rd.Dataset", store_dir: str,
     scores = (tf.map_batches(weigh, batch_format="pyarrow")
                 .groupby("url").aggregate(Sum("w", alias_name="w")))
 
-    n_nodes = rd.read_parquet(pages_path, columns=["url"]).count() or 1
-    joined = scores.join(pagerank_ds(pages_path), join_type="left_outer",
+    rdir = ensure_ranks(pages_path)
+    n_nodes = json.loads(
+        (Path(rdir) / "_manifest.json").read_text())["n_nodes"] or 1
+    joined = scores.join(rd.read_parquet(rdir), join_type="left_outer",
                          num_partitions=join_partitions(16), on=("url",))
 
     def blend(b: pa.Table) -> pa.Table:
@@ -679,7 +659,8 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
     term by  sum_t tf*ln(N/df)  times  (1 + damping_rank * n * pagerank),
     and attaches a stored-copy excerpt for the best term. The pagerank
     factor is the reference's popularity blend (src/results.cpp role —
-    exact formula unpublished, pinned here). Output
+    exact formula unpublished, pinned here); the ranks come from
+    ensure_ranks, computed once per pages table. Output
     (url, score, excerpt) top-k by (score desc, url).
 
     ``per_site``: the results-page site grouping (s.cgi "group by site",
@@ -700,9 +681,9 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
     capping and top-k all run distributed (Ray groupby/join + per-batch
     partial top-k), the driver touches only O(k) rows, and excerpts are
     sliced for the result urls alone."""
-    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
 
-    from aspseek_ray.pipelines.index_products import pagerank
+    from aspseek_ray.pipelines.index_products import ensure_ranks
 
     ast = None
     if query is not None:
@@ -738,7 +719,7 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
     df_pdf["w"] = df_pdf["tf"] * df_pdf["term"].map(idf)
     scores = df_pdf.groupby("url", as_index=False)["w"].sum()
 
-    ranks = pagerank(pages_path).to_pandas()
+    ranks = pq.read_table(ensure_ranks(pages_path)).to_pandas()
     rank_of = dict(zip(ranks["url"], ranks["rank"]))
     n = len(rank_of) or 1
     scores["score"] = scores["w"] * (
@@ -1145,9 +1126,11 @@ def _ensure_del_keys(pdir: str) -> str:
     always share a key (the SymSpell delete-neighborhood property), so a
     suggest query reads only its own keys' partitions — never sweeps the
     vocabulary. df = posting-row count = docs containing the word."""
-    out = Path(pdir) / "del_keys"
-    if out.exists():
-        return str(out)
+    return str(build_once(Path(pdir) / "del_keys",
+                          lambda build: _build_del_keys(pdir, build)))
+
+
+def _build_del_keys(pdir: str, build: Path) -> None:
     from ray.data.aggregate import Count
 
     files = sorted(str(f) for f in Path(pdir).glob("word_bucket=*/*.parquet"))
@@ -1168,17 +1151,8 @@ def _ensure_del_keys(pdir: str) -> str:
                          "word": pa.array(words, pa.string()),
                          "df": pa.array(dfs, pa.int64())})
 
-    build = Path(f"{out}.tmp{os.getpid()}")
-    build.mkdir(parents=True, exist_ok=True)
     (vocab.map_batches(to_keys, batch_format="pyarrow")
           .write_parquet(str(build), partition_cols=["delkey_bucket"]))
-    try:
-        build.rename(out)
-    except OSError:
-        import shutil
-
-        shutil.rmtree(build, ignore_errors=True)  # another builder won
-    return str(out)
 
 
 def _lev1(a: str, b: str) -> bool:
@@ -1413,9 +1387,11 @@ def _ensure_doc_norms(pdir: str, n_docs: int) -> str:
     + one groupby(doc_seq) — no vocabulary-sized join, nothing on the
     driver. Partitioned by doc_bucket = doc_seq % NUM_WORD_BUCKETS for
     pruned candidate-norm reads."""
-    out = Path(pdir) / "doc_norms"
-    if out.exists():
-        return str(out)
+    return str(build_once(Path(pdir) / "doc_norms",
+                          lambda build: _build_doc_norms(pdir, n_docs, build)))
+
+
+def _build_doc_norms(pdir: str, n_docs: int, build: Path) -> None:
     from ray.data.aggregate import Sum
 
     files = sorted(str(f) for f in Path(pdir).glob("word_bucket=*/*.parquet"))
@@ -1443,17 +1419,8 @@ def _ensure_doc_norms(pdir: str, n_docs: int) -> str:
                 b["sq"].to_numpy(zero_copy_only=False))),
         })
 
-    build = Path(f"{out}.tmp{os.getpid()}")
-    build.mkdir(parents=True, exist_ok=True)
     (sums.map_batches(to_norm, batch_format="pyarrow")
          .write_parquet(str(build), partition_cols=["doc_bucket"]))
-    try:
-        build.rename(out)
-    except OSError:
-        import shutil
-
-        shutil.rmtree(build, ignore_errors=True)  # another builder won
-    return str(out)
 
 
 def similar_docs(sf_dir: str, doc_id: int = 0, k: int = 10) -> pa.Table:

@@ -43,7 +43,11 @@ def _load_queries(sf_dir: str, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
     import pyarrow.compute as pc
 
     t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    t = t.filter(pc.less(t["vec_id"], n_queries))
+    return _query_matrix(t.filter(pc.less(t["vec_id"], n_queries)))
+
+
+def _query_matrix(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """(vec ids, unit-normalized float64 rows) of an embeddings table."""
     qids = t["vec_id"].to_numpy()
     Q = np.stack(t["embedding"].to_pylist()).astype(np.float64)
     Q /= np.maximum(np.linalg.norm(Q, axis=1, keepdims=True), 1e-12)
@@ -54,7 +58,12 @@ def brute_topk(sf_dir: str, n_queries: int = 8, k: int = 5) -> pa.Table:
     """Exact cosine top-k of every query vector against the whole table
     (self-match excluded). Output (query_id, vec_id, score, rank) with
     score rounded to 4, rank 1..k by (-score, vec_id) — deterministic."""
-    qids, Q = _load_queries(sf_dir, n_queries)
+    return _cosine_topk(sf_dir, *_load_queries(sf_dir, n_queries), k)
+
+
+def _cosine_topk(sf_dir: str, qids: np.ndarray, Q: np.ndarray,
+                 k: int) -> pa.Table:
+    """brute_topk's scan for the given query rows (ids, unit vectors)."""
     q_ref = ray.put((qids, Q))
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -321,9 +330,8 @@ def mmr_topk(sf_dir: str, query_id: int = 0, k: int = 5,
                       "mmr_score": pa.array([], pa.float64())})
     if not len(qpos):
         return empty
-    cand_t = brute_topk(sf_dir, n_queries=int(query_id) + 1, k=pool)
-    cand_t = cand_t.filter(pc.equal(cand_t["query_id"], int(query_id)))
-    cand_ids = cand_t["vec_id"].to_numpy()
+    qids, Q = _query_matrix(t.take(qpos))
+    cand_ids = _cosine_topk(sf_dir, qids, Q, k=pool)["vec_id"].to_numpy()
     if not len(cand_ids):
         return empty
 

@@ -11,6 +11,13 @@ them is free."""
 
 from __future__ import annotations
 
+import hashlib
+import os
+import shutil
+import threading
+from pathlib import Path
+from typing import Callable
+
 import numpy as np
 import pyarrow as pa
 import ray
@@ -76,3 +83,40 @@ def actor_pool(lo: int = 2) -> tuple[int, int]:
     except Exception:
         cpus = lo
     return (lo, max(lo, cpus))
+
+
+def source_key(path: str, tag: str) -> str:
+    """Disk-cache key of a product derived from ``path``: a digest of the
+    resolved path and the size and mtime of every source file. A file
+    stands for itself; a directory stands for every parquet file under it
+    (relative name, size, mtime), since rewriting a file in place leaves
+    the directory's own stat unchanged. ``tag`` versions the product's
+    format."""
+    p = Path(path).resolve()
+    if p.is_dir():
+        ident = ",".join(
+            f"{f.relative_to(p)}:{st.st_size}:{st.st_mtime_ns}"
+            for f, st in ((f, f.stat()) for f in sorted(p.rglob("*.parquet"))))
+    else:
+        st = p.stat()
+        ident = f"{st.st_size}:{st.st_mtime_ns}"
+    return hashlib.blake2s(f"{p}:{ident}:{tag}".encode(),
+                           digest_size=8).hexdigest()
+
+
+def build_once(out: "str | Path", build: Callable[[Path], None]) -> Path:
+    """Materialize the cache directory ``out`` unless it exists:
+    ``build(tmp)`` fills a directory unique to this process and thread,
+    which is then renamed into place atomically. Concurrent builders race
+    benignly: the first rename wins, the losers discard their copies."""
+    out = Path(out)
+    if out.exists():
+        return out
+    tmp = Path(f"{out}.tmp{os.getpid()}.{threading.get_ident()}")
+    tmp.mkdir(parents=True, exist_ok=True)
+    build(tmp)
+    try:
+        tmp.rename(out)
+    except OSError:
+        shutil.rmtree(tmp, ignore_errors=True)  # another builder won
+    return out

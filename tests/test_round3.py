@@ -8,21 +8,24 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 
+def _write_pages(path, urls, targets, anchor="x"):
+    htmls = [f'<p><a href="{t}">{anchor}</a></p>'.encode() for t in targets]
+    pq.write_table(pa.table({"url": urls,
+                             "html": pa.array(htmls, pa.binary())}), path)
+
+
 def _mini_crawl_products(tmp_path):
     """Tiny store + pages pair: 4 urls on 3 hosts in a link cycle (uniform
     pagerank by symmetry -> popularity factor is a constant 2.0)."""
     urls = ["http://a.example/", "http://a.example/p.html",
             "http://b.example/", "http://c.example/"]
     texts = ["foo foo foo", "foo foo", "foo bar", "bar"]
-    nxt = urls[1:] + urls[:1]
-    htmls = [f'<p><a href="{n}">x</a></p>'.encode() for n in nxt]
     store = tmp_path / "store"
     store.mkdir()
     pq.write_table(pa.table({"url": urls, "text": texts}),
                    store / "part-0.parquet")
     pages = tmp_path / "pages.parquet"
-    pq.write_table(pa.table({"url": urls, "html": pa.array(htmls, pa.binary())}),
-                   pages)
+    _write_pages(pages, urls, urls[1:] + urls[:1])
     return str(store), str(pages)
 
 
@@ -104,43 +107,44 @@ def test_ranked_search_plans_agree(ray_session, tmp_path):
     """The distributed ranked-search plan (driver_max_docs=0 forces it)
     must equal the driver plan exactly — including qparser admissibility,
     per-site capping, tiebreaks and excerpts — on a multi-block store."""
-    import random
-
     from aspseek_ray.pipelines.search import ranked_crawl_search
 
-    rng = random.Random(5)
-    words = ["foo", "bar", "baz", "qux", "slow"]
-    store = tmp_path / "store"
-    store.mkdir()
-    urls, texts, htmls = [], [], []
-    for h in range(8):
-        for p in range(8):
-            u = f"http://h{h}.example/p{p}.html"
-            urls.append(u)
-            texts.append(" ".join(rng.choice(words)
-                                  for _ in range(rng.randint(3, 12))))
-    nxt = urls[1:] + urls[:1]
-    for n in nxt:
-        htmls.append(f'<p><a href="{n}">x</a></p>'.encode())
-    # 4 separate files -> multiple blocks through the distributed path
-    for i in range(4):
-        sl = slice(i * 16, (i + 1) * 16)
-        pq.write_table(pa.table({"url": urls[sl], "text": texts[sl]}),
-                       store / f"part-{i}.parquet")
-    pages = tmp_path / "pages.parquet"
-    pq.write_table(pa.table({"url": urls,
-                             "html": pa.array(htmls, pa.binary())}), pages)
-
+    store, pages = _multi_block_products(tmp_path)
     cases = [dict(terms=("foo",)), dict(terms=("foo", "bar"), k=7),
              dict(terms=("foo",), per_site=2),
              dict(query="foo OR bar", per_site=1, k=5),
              dict(query="foo NOT slow"),
              dict(query='"foo bar" OR qux', per_site=3)]
     for kwargs in cases:
-        a = ranked_crawl_search(str(store), str(pages), **kwargs)
-        b = ranked_crawl_search(str(store), str(pages),
-                                driver_max_docs=0, **kwargs)
+        a = ranked_crawl_search(store, pages, **kwargs)
+        b = ranked_crawl_search(store, pages, driver_max_docs=0, **kwargs)
         assert a.equals(b), (kwargs, a.to_pydict(), b.to_pydict())
+
+
+def _multi_block_products(tmp_path):
+    """64 urls on 8 hosts in one link cycle, the store in 4 files (so 4
+    blocks through the distributed plan), random texts over 5 words."""
+    import random
+
+    rng = random.Random(5)
+    words = ["foo", "bar", "baz", "qux", "slow"]
+    store = tmp_path / "store"
+    store.mkdir()
+    urls, texts = [], []
+    for h in range(8):
+        for p in range(8):
+            u = f"http://h{h}.example/p{p}.html"
+            urls.append(u)
+            texts.append(" ".join(rng.choice(words)
+                                  for _ in range(rng.randint(3, 12))))
+    # 4 separate files -> multiple blocks through the distributed path
+    for i in range(4):
+        sl = slice(i * 16, (i + 1) * 16)
+        pq.write_table(pa.table({"url": urls[sl], "text": texts[sl]}),
+                       store / f"part-{i}.parquet")
+    pages = tmp_path / "pages.parquet"
+    _write_pages(pages, urls, urls[1:] + urls[:1])
+    return str(store), str(pages)
 
 
 def test_embedding_near_dup_size_switch(ray_session):
@@ -173,3 +177,75 @@ def test_embedding_near_dup_size_switch(ray_session):
     assert set(pairs) <= set(e)                   # no false pairs
     for (a, b), c in zip(pairs, multi["cosine"].to_pylist()):
         assert c == e[(a, b)]
+
+
+def test_ranks_computed_once_per_pages_table(ray_session, tmp_path,
+                                             monkeypatch):
+    """PageRank depends on the pages table alone: distinct ranked queries
+    through both plans compute it once, the cached table equals
+    pagerank() bitwise, and a pages file with other links gets new
+    ranks."""
+    from aspseek_ray.pipelines import index_products as ip
+    from aspseek_ray.pipelines.search import ranked_crawl_search
+
+    store, pages = _multi_block_products(tmp_path)
+    real = ip.pagerank
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ip, "pagerank", counted)
+    for q in ("foo", "bar NOT slow"):
+        a = ranked_crawl_search(store, pages, query=q)
+        b = ranked_crawl_search(store, pages, query=q, driver_max_docs=0)
+        assert a.equals(b), (q, a.to_pydict(), b.to_pydict())
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    cached = ip.ensure_ranks(pages)
+    assert pq.read_table(cached).equals(ip.pagerank(pages))
+
+    # every page links to the first: ranks are no longer uniform
+    urls = pq.read_table(pages, columns=["url"])["url"].to_pylist()
+    _write_pages(pages, urls, [urls[0]] * len(urls))
+    fresh = ip.ensure_ranks(pages)
+    assert fresh != cached
+    got = pq.read_table(fresh)
+    assert got.equals(ip.pagerank(pages))
+    assert not got.equals(pq.read_table(cached))
+
+
+def test_caches_see_a_file_rewritten_inside_a_pages_dir(ray_session,
+                                                        tmp_path):
+    """A pages table given as a directory: rewriting a file in place
+    leaves the directory's own stat unchanged, yet the anchor index and
+    the ranks must be rebuilt from the new file."""
+    import pyarrow.dataset as pads
+
+    from aspseek_ray.pipelines import index_products as ip
+
+    urls = ["http://a.example/", "http://b.example/", "http://c.example/"]
+    cycle, star = urls[1:] + urls[:1], [urls[0]] * len(urls)
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    part = pages / "part-0.parquet"
+    _write_pages(part, urls, cycle, anchor="alpha")
+    dir_mtime = pages.stat().st_mtime_ns
+
+    anchors = ip.ensure_anchor_index(str(pages))
+    _write_pages(part, urls, star, anchor="omega")
+    assert pages.stat().st_mtime_ns == dir_mtime
+    fresh = ip.ensure_anchor_index(str(pages))
+    assert fresh != anchors
+    words = pads.dataset(fresh, format="parquet",
+                         partitioning="hive").to_table(columns=["word"])
+    assert set(words["word"].to_pylist()) == {"omega"}
+
+    ranks = ip.ensure_ranks(str(pages))
+    _write_pages(part, urls, cycle, anchor="alpha")
+    assert pages.stat().st_mtime_ns == dir_mtime
+    fresh = ip.ensure_ranks(str(pages))
+    assert fresh != ranks
+    assert pq.read_table(fresh).equals(ip.pagerank(str(pages)))
