@@ -959,7 +959,7 @@ def _ranked_oracle_sql(sim_trace: str, pages: str, links: str,
     if per_site is None:
         return sql + f"""
         SELECT url, ROUND(score, 4) AS score FROM sc
-        ORDER BY score DESC, url LIMIT {k}"""
+        ORDER BY sc.score DESC, url LIMIT {k}"""
     return sql + f""",
         best AS (SELECT url, score,
                         regexp_extract(url, '^[a-z]+://([^/]+)', 1) AS host
@@ -1188,7 +1188,7 @@ def oracle_sql() -> dict[str, str]:
                              AS score
                   FROM body b FULL OUTER JOIN ahits ah ON b.url = ah.url)
             SELECT url, ROUND(score, 4) AS score FROM s
-            ORDER BY score DESC, url LIMIT 10
+            ORDER BY s.score DESC, url LIMIT 10
         """,
         "crawl_ranked_tfidf": f"""
             WITH stored AS (
@@ -1791,7 +1791,7 @@ def oracle_sql() -> dict[str, str]:
                   FROM dot JOIN nm ON dot.doc_id = nm.doc_id
                   WHERE dot.dot > 0)
             SELECT doc_id, ROUND(score, 4) AS score FROM s
-            ORDER BY score DESC, doc_id LIMIT 10
+            ORDER BY s.score DESC, doc_id LIMIT 10
         """,
         # qparser suffix wildcard: (any word LIKE %ow) AND scan
         "parsed_suffix_search": f"""
@@ -1878,7 +1878,7 @@ def oracle_sql() -> dict[str, str]:
                   FROM tf JOIN df ON tf.word = df.word CROSS JOIN n
                   GROUP BY tf.doc_id)
             SELECT doc_id, ROUND(score, 4) AS score FROM s
-            ORDER BY score DESC, doc_id LIMIT 10
+            ORDER BY s.score DESC, doc_id LIMIT 10
         """,
         # Okapi BM25 (k1=1.2, b=0.75; Lucene's ln(1+(N-df+.5)/(df+.5))
         # idf). dl counts ALL tokens of the doc; avgdl = total tokens / N
@@ -1905,7 +1905,7 @@ def oracle_sql() -> dict[str, str]:
                   CROSS JOIN n CROSS JOIN a
                   GROUP BY tf.doc_id)
             SELECT doc_id, ROUND(score, 4) AS score FROM s
-            ORDER BY score DESC, doc_id LIMIT 10
+            ORDER BY s.score DESC, doc_id LIMIT 10
         """,
         "quality_scores": f"""
             WITH tok AS (

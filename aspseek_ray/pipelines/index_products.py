@@ -7,6 +7,11 @@ inverted-index / citation / rank machinery rebuilt as Dataset jobs):
   parquet; Ray streaming replaces the RAM word-cache).
 * ``merge_postings`` — delta→main compaction (O21): per word, concat +
   position-sort the per-doc lists (groupby within bucket partitions).
+* ``stage_delta`` / ``fold_deltas`` / ``update_postings_index`` — the
+  real-time delta→main refresh (S7/O21): a round is staged as bucketed
+  postings plus a remove-set taken from its url column, and a fold
+  handles each word bucket on its own: it filters that bucket's main
+  files and appends the staged rows as one new file per bucket.
 * ``clone_groups`` — content-checksum clone detection (O10/O23).
 * ``pagerank`` — iterative popularity rank over the link graph (O28,
   reference src/ranks.cpp `index -R`): per-iteration broadcast of the rank
@@ -205,7 +210,6 @@ def _read_bucketed_postings(index_dir: str) -> rd.Dataset:
 
 def update_postings_index(index_dir: str, store_path: str,
                           purge_doc_seqs: "list[int] | tuple[int, ...]" = (),
-                          broadcast_max_docs: int = 2_000_000,
                           per_lang_stopwords: bool = False) -> list[int]:
     """Incremental delta→main index refresh (S7/O21 — the reference's
     signature real-time update, src/deltas.cpp + CachePut/Merge role):
@@ -213,56 +217,29 @@ def update_postings_index(index_dir: str, store_path: str,
     them into an EXISTING ``build_postings(out_dir=...)`` index without
     rebuilding it.
 
-    Semantics: every doc in ``store_path`` (plus ``purge_doc_seqs``) has
+    Semantics: every page in ``store_path`` (plus ``purge_doc_seqs``) has
     its OLD postings removed from every bucket, then the delta rows are
     added — so changed docs are replaced (including words their new text
-    no longer contains), new docs are inserted, and purged docs vanish.
-    ``store_path`` must hold at most one fetch per url (one crawl round
-    does; for multi-round inputs dedupe latest-wins upstream).
+    no longer contains, and pages whose new text yields no index token at
+    all), new docs are inserted, and purged docs vanish. ``store_path``
+    must hold at most one fetch per url (one crawl round does; for
+    multi-round inputs dedupe latest-wins upstream).
 
-    Physical plan: the remove-set (round doc ids) is collected from the
-    delta — bounded by the politeness round budget — and broadcast via
-    ray.put for a vectorized np.isin filter; above ``broadcast_max_docs``
-    a keyed ``join(left_anti)`` on doc_seq replaces the broadcast (one
-    shuffle of the index, no driver set). A column-pruned pre-pass reads
-    only (word_bucket, doc_seq) to find buckets that actually LOSE rows;
-    only those are rewritten (read + filter + swap via dir renames),
-    while buckets that purely GAIN rows take their delta as appended
-    partition files — one atomic rename per file, O(delta) instead of
-    O(index) for the insert-dominated crawl case. Crash between renames
-    leaves at most one rewritten bucket stashed (restored by the
-    prologue) or a partial append (whose doc_seqs then land in the
-    remove-set on re-run, turning those buckets into rewrites) — the
-    update is idempotent either way.
-
-    File growth: appends add files per round; dirty-bucket rewrites
-    consolidate their bucket as a side effect, and a periodic
-    ``build_postings`` rebuild (or raising NUM_WORD_BUCKETS) is the
-    compaction story for long pure-insert runs.
-
-    Returns the sorted list of bucket ids whose contents changed
-    (rewritten + appended)."""
-    _recover_index(index_dir)
-
-    # per_lang_stopwords must match the existing index's build setting —
-    # the delta is built under the same stopword policy
-    delta = build_postings(
-        store_path, per_lang_stopwords=per_lang_stopwords).materialize()
-
-    # remove-set: docs being refreshed this round (+ explicit purges)
-    doc_rows = delta.select_columns(["doc_seq"]).unique("doc_seq") or []
-    remove = np.unique(np.concatenate(
-        [np.asarray(doc_rows, dtype=np.int64),
-         np.asarray(list(purge_doc_seqs), dtype=np.int64)]))
-    return _apply_delta(index_dir, delta, remove, broadcast_max_docs)
+    It is ``stage_delta`` + ``fold_deltas``: the round is staged, then
+    every staged round (this one included) is folded into main one word
+    bucket at a time. Returns the sorted list of bucket ids whose contents
+    changed."""
+    stage_delta(index_dir, store_path, purge_doc_seqs, per_lang_stopwords)
+    return fold_deltas(index_dir)
 
 
 def _recover_index(index_dir: str) -> None:
-    """Crash recovery prologue: a previous update that died mid-swap
-    leaves .old_bucket=K stashes (and possibly a missing word_bucket=K
-    dir — the swap is stash -> rename-new -> rm-stash). Restore any
-    stash whose bucket dir is gone, drop the rest, and clear stale tmp
-    dirs BEFORE reading the index."""
+    """Crash recovery prologue of the fold: clear the tmp files a fold
+    that died left in ``.update_tmp``. An index written by the older
+    bucket-swap refresh may also hold .old_bucket=K stashes (and possibly
+    a missing word_bucket=K dir — that swap was stash -> rename-new ->
+    rm-stash): restore any stash whose bucket dir is gone and drop the
+    rest, BEFORE reading the index."""
     import shutil
     from pathlib import Path
 
@@ -275,179 +252,18 @@ def _recover_index(index_dir: str) -> None:
     shutil.rmtree(Path(index_dir) / ".update_tmp", ignore_errors=True)
 
 
-def _apply_delta(index_dir: str, delta: rd.Dataset, remove: np.ndarray,
-                 broadcast_max_docs: int = 2_000_000) -> list[int]:
-    """Core delta->main merge of update_postings_index: remove ``remove``
-    docs' old postings from every bucket, fold ``delta`` rows in (dirty
-    buckets rewritten via atomic swaps, pure-insert buckets appended).
-    ``delta`` must be a MATERIALIZED (word, word_bucket, doc_seq,
-    positions) Dataset; caller runs _recover_index first."""
-    import shutil
-    from pathlib import Path
-
-    use_broadcast = remove.size <= broadcast_max_docs
-    remove_ref = ray.put(remove) if use_broadcast else None
-
-    old = _read_bucketed_postings(index_dir)
-
-    # pre-pass (column-pruned): buckets whose old rows lose a doc
-    def removed_per_bucket(b: pa.Table) -> pa.Table:
-        hit = np.isin(b["doc_seq"].to_numpy(), ray.get(remove_ref))
-        wb = b["word_bucket"].to_numpy()[hit]
-        vals, cnts = np.unique(wb, return_counts=True)
-        return pa.table({"word_bucket": pa.array(vals.astype(np.int32)),
-                         "n": pa.array(cnts.astype(np.int64))})
-
-    if use_broadcast:
-        hits = (old.select_columns(["word_bucket", "doc_seq"])
-                   .map_batches(removed_per_bucket, batch_format="pyarrow")
-                   .groupby("word_bucket").aggregate(Sum("n", alias_name="n")))
-        dirty = {int(r["word_bucket"]) for r in hits.iter_rows()}
-    else:
-        rem_ds = rd.from_arrow(pa.table({"doc_seq": pa.array(remove)}))
-        # materialize: count() and unique() below would otherwise each
-        # re-execute the full column-pruned scan + semi-join from scratch
-        hits = (old.select_columns(["word_bucket", "doc_seq"])
-                   .join(rem_ds, join_type="left_semi",
-                         num_partitions=max(8, NUM_WORD_BUCKETS // 8),
-                         on=("doc_seq",))
-                   .materialize())
-        dirty = ({int(x) for x in hits.unique("word_bucket")}
-                 if hits.count() else set())
-    # unique() of a zero-row Dataset (a round with no stored pages) is None
-    delta_buckets = {int(b) for b in delta.unique("word_bucket") or ()}
-    touched = sorted(dirty | delta_buckets)
-    if not touched:
-        return []
-
-    # Split the delta: a bucket that loses NO old rows (``dirty`` miss)
-    # takes its delta as APPENDED partition files — the partition dir is
-    # the unit of read, so extra files are semantically identical to a
-    # rewrite, and the per-round cost drops from O(touched index bytes)
-    # to O(delta) for the (dominant at crawl time) pure-insert buckets.
-    # Crash safety: appends run AFTER the rewrite swaps, one atomic file
-    # rename each; a re-run after a partial append sees the appended
-    # doc_seqs in the remove-set, marks those buckets dirty, and rewrites
-    # them — idempotent either way.
-    rewrite = sorted(dirty)
-    append_only = sorted(delta_buckets - dirty)
-    if append_only:
-        ap_arr = np.asarray(append_only, dtype=np.int32)
-
-        def keep_append(b: pa.Table) -> pa.Table:
-            sel = np.isin(b["word_bucket"].to_numpy(), ap_arr)
-            return b.filter(pa.array(sel))
-
-        def keep_rewrite(b: pa.Table) -> pa.Table:
-            sel = ~np.isin(b["word_bucket"].to_numpy(), ap_arr)
-            return b.filter(pa.array(sel))
-
-        delta_append = delta.map_batches(keep_append, batch_format="pyarrow")
-        delta = delta.map_batches(keep_rewrite, batch_format="pyarrow")
-    else:
-        delta_append = None
-
-    # rewrite pass reads ONLY the dirty partition dirs (the pre-pass
-    # above is the one full — column-pruned — scan); re-stamp the
-    # word_bucket column lost by reading partition dirs directly
-    touched_files: list[str] = []
-    for k in rewrite:
-        d = Path(index_dir) / f"word_bucket={k}"
-        if d.exists():
-            touched_files.extend(sorted(str(f) for f in d.glob("*.parquet")))
-    if touched_files:
-        def restamp(b: pa.Table) -> pa.Table:
-            wb = np.abs(fnv1a64_arrow(b["word"])) % NUM_WORD_BUCKETS
-            t = pa.table({"word": b["word"],
-                          "word_bucket": pa.array(wb.astype(np.int32)),
-                          "doc_seq": b["doc_seq"],
-                          "positions": b["positions"]})
-            return t
-
-        old_touched = (rd.read_parquet(
-                           touched_files,
-                           columns=["word", "doc_seq", "positions"])
-                         .map_batches(restamp, batch_format="pyarrow"))
-    else:
-        old_touched = rd.from_arrow(POSTINGS_SCHEMA.empty_table())
-    if use_broadcast:
-        def keep_fn(b: pa.Table) -> pa.Table:
-            if b.num_rows == 0:
-                return b
-            keep = ~np.isin(b["doc_seq"].to_numpy(), ray.get(remove_ref))
-            return b.filter(pa.array(keep))
-
-        kept_old = old_touched.map_batches(keep_fn, batch_format="pyarrow")
-    else:
-        # Arrow hash joins reject list<> payload columns: carry positions
-        # as little-endian int32 bytes across the anti-join.
-        def enc(b: pa.Table) -> pa.Table:
-            col = b["positions"].combine_chunks()
-            off = col.offsets.to_numpy()
-            raw = col.values.to_numpy().astype("<i4").tobytes()
-            bins = [raw[4 * s:4 * e] for s, e in zip(off[:-1], off[1:])]
-            i = b.schema.get_field_index("positions")
-            return b.set_column(i, "positions", pa.array(bins, pa.binary()))
-
-        def dec(b: pa.Table) -> pa.Table:
-            lists = [np.frombuffer(x, dtype="<i4").tolist()
-                     for x in b["positions"].to_pylist()]
-            i = b.schema.get_field_index("positions")
-            return b.set_column(
-                i, "positions", pa.array(lists, pa.list_(pa.int32())))
-
-        kept_old = (old_touched
-                    .map_batches(enc, batch_format="pyarrow")
-                    .join(rem_ds, join_type="left_anti",
-                          num_partitions=max(8, NUM_WORD_BUCKETS // 8),
-                          on=("doc_seq",))
-                    .map_batches(dec, batch_format="pyarrow"))
-    updated = kept_old.union(delta)
-
-    tmp = Path(index_dir) / ".update_tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    if rewrite:
-        updated.write_parquet(str(tmp), partition_cols=["word_bucket"])
-        for k in rewrite:
-            new_part = tmp / f"word_bucket={k}"
-            old_part = Path(index_dir) / f"word_bucket={k}"
-            if not new_part.exists():
-                new_part.mkdir()      # bucket emptied entirely this round
-            stash = Path(index_dir) / f".old_bucket={k}"
-            shutil.rmtree(stash, ignore_errors=True)
-            if old_part.exists():
-                old_part.rename(stash)
-            new_part.rename(old_part)
-            shutil.rmtree(stash, ignore_errors=True)
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    # append pass: pure-insert buckets take the delta as extra partition
-    # files (unique names, one atomic rename per file; dirs created for
-    # brand-new buckets)
-    if delta_append is not None:
-        import uuid
-
-        ap_tmp = Path(index_dir) / ".update_tmp"
-        shutil.rmtree(ap_tmp, ignore_errors=True)
-        delta_append.write_parquet(str(ap_tmp),
-                                   partition_cols=["word_bucket"])
-        tag = uuid.uuid4().hex[:8]
-        for part in sorted(ap_tmp.glob("word_bucket=*")):
-            dest = Path(index_dir) / part.name
-            dest.mkdir(exist_ok=True)
-            for f in sorted(part.glob("*.parquet")):
-                f.rename(dest / f"delta-{tag}-{f.name}")
-        shutil.rmtree(ap_tmp, ignore_errors=True)
-    return touched
-
-
 # ------------------------------------------------------- delta staging (S7)
 # The reference's real delta-file model (SURVEY S7, src/deltas.cpp role):
 # small crawl rounds accumulate as STAGED delta segments next to the main
-# index and are folded into it only when the staged volume justifies the
-# bucket rewrites; queries read main + staged segments with latest-wins
-# masking. At real index:round ratios this turns the per-round update cost
-# from O(dirty index buckets) into O(delta) — the fold amortizes.
+# index and are folded into it only when the staged volume justifies a
+# fold; queries read main + staged segments with latest-wins masking.
+# Staging and folding both follow the word-bucket partitioning: folding
+# bucket k touches only bucket k's files, so a refresh costs O(delta)
+# plus a doc_seq-column read of the index.
+
+# rows one staging write task gathers before it writes: a round below
+# this writes ONE file per word bucket, not one per input block
+STAGE_ROWS_TARGET = 1_000_000
 
 
 def _staged_round_dirs(index_dir: str) -> "list[Path]":
@@ -467,8 +283,6 @@ def _staged_postings(round_dir) -> rd.Dataset:
 
 def _parquet_rows(files) -> int:
     """Total row count from parquet footers only (no data read)."""
-    import pyarrow.parquet as pq
-
     return sum(pq.ParquetFile(str(f)).metadata.num_rows for f in files)
 
 
@@ -478,15 +292,15 @@ def stage_delta(index_dir: str, store_path: str,
     """Stage one round's delta postings WITHOUT touching the main index:
     build the round's (word, word_bucket, doc_seq, positions) postings
     into ``index_dir/.deltas/round-NNNNNN/postings`` (same bucketed
-    layout as main) plus its remove-set ``_docs.parquet`` (refreshed +
-    purged doc_seqs). The round dir appears atomically (tmp + rename);
-    a crash mid-stage leaves only an ignored tmp dir. O(round), no main
-    index reads. A round with no stored pages writes no postings dir,
-    only its purges. Returns the staged round number."""
+    layout as main; one file per bucket for a round below
+    STAGE_ROWS_TARGET rows) plus its remove-set ``_docs.parquet``:
+    fnv1a64 of every url the round stored, plus the purged doc_seqs. The
+    round dir appears atomically (tmp + rename); a crash mid-stage leaves
+    only an ignored tmp dir. O(round), no main index reads. A round with
+    no stored pages writes no postings dir, only its purges. Returns the
+    staged round number."""
     import shutil
     from pathlib import Path
-
-    import pyarrow.parquet as pq
 
     ddir = Path(index_dir) / ".deltas"
     ddir.mkdir(exist_ok=True)
@@ -497,13 +311,14 @@ def stage_delta(index_dir: str, store_path: str,
     tmp = ddir / f".tmp-round-{n:06d}"
     build_postings(store_path, per_lang_stopwords=per_lang_stopwords
                    ).write_parquet(str(tmp / "postings"),
-                                   partition_cols=["word_bucket"])
-    docs = (rd.read_parquet(str(tmp / "postings"),
-                            columns=["doc_seq"]).unique("doc_seq")
-            if (tmp / "postings").exists() else [])
+                                   partition_cols=["word_bucket"],
+                                   min_rows_per_file=STAGE_ROWS_TARGET)
     tmp.mkdir(exist_ok=True)
+    # every url the round stored, so a page whose new text yields no
+    # index token (no posting row) still loses its old postings
+    urls = pq.read_table(store_path, columns=["url"])["url"]
     arr = np.unique(np.concatenate(
-        [np.asarray(docs, dtype=np.int64),
+        [fnv1a64_arrow(urls),
          np.asarray(list(purge_doc_seqs), dtype=np.int64)]))
     pq.write_table(pa.table({"doc_seq": pa.array(arr, pa.int64())}),
                    tmp / "_docs.parquet")
@@ -535,8 +350,6 @@ def read_postings_with_deltas(index_dir: str) -> rd.Dataset:
     (politeness round budget x staged rounds, capped by the fold
     threshold), so the masks broadcast via ray.put; the index itself
     streams."""
-    import pyarrow.parquet as pq
-
     rounds = _staged_round_dirs(index_dir)
     if not rounds:
         return _read_bucketed_postings(index_dir)
@@ -554,40 +367,100 @@ def read_postings_with_deltas(index_dir: str) -> rd.Dataset:
     return out
 
 
-def fold_deltas(index_dir: str,
-                broadcast_max_docs: int = 2_000_000) -> list[int]:
-    """Fold ALL staged delta segments into the main index in one
-    _apply_delta pass (one dirty-bucket scan + rewrite for the whole
-    batch of rounds, instead of one per round): the combined delta keeps,
-    per doc, only its LATEST staged round's rows; the remove-set is every
-    staged doc (incl. purges). Staging dirs are cleared afterwards —
-    a crash in between re-applies the same final state on re-run
-    (remove-then-add is idempotent). Returns touched bucket ids."""
-    import shutil
+def _fold_bucket(index_dir: str, rounds: "list[str]", k: int) -> bool:
+    """Fold every staged round into main word bucket ``k``; returns
+    whether the bucket changed. Main files holding a removed doc (any
+    staged round's url or purge) are rewritten filtered, or unlinked once
+    empty; the rest are read for their doc_seq column only. The rounds'
+    bucket-k rows, each masked by the rounds after it, are appended as
+    ONE new file. Every write goes through a tmp file + os.replace."""
+    import os
+    import uuid
+    from pathlib import Path
 
-    import pyarrow.parquet as pq
+    docs = [pq.read_table(os.path.join(r, "_docs.parquet"))["doc_seq"]
+            .to_numpy() for r in rounds]
+    remove = np.concatenate(docs)
+    main = Path(index_dir) / f"word_bucket={k}"
+    tmp = Path(index_dir) / ".update_tmp" / f"{k}-{uuid.uuid4().hex}.parquet"
+    tmp.parent.mkdir(exist_ok=True)
+    changed = False
+    for f in sorted(main.glob("*.parquet")):
+        hit = np.isin(pq.read_table(f, columns=["doc_seq"])["doc_seq"]
+                      .to_numpy(), remove)
+        if not hit.any():
+            continue
+        changed = True
+        if hit.all():
+            f.unlink()
+            continue
+        pq.write_table(pq.read_table(f).filter(pa.array(~hit)), tmp)
+        os.replace(tmp, f)
+
+    parts = []
+    for i, r in enumerate(rounds):
+        files = sorted((Path(r) / "postings" / f"word_bucket={k}")
+                       .glob("*.parquet"))
+        if not files:
+            continue
+        t = pa.concat_tables(
+            [pq.read_table(f, columns=["word", "doc_seq", "positions"])
+             for f in files])
+        if i + 1 < len(rounds):
+            later = np.concatenate(docs[i + 1:])
+            t = t.filter(pa.array(~np.isin(t["doc_seq"].to_numpy(), later)))
+        parts.append(t)
+    if sum(t.num_rows for t in parts):
+        main.mkdir(exist_ok=True)
+        pq.write_table(pa.concat_tables(parts), tmp)
+        os.replace(tmp, main / f"delta-{uuid.uuid4().hex}.parquet")
+        changed = True
+    return changed
+
+
+def fold_deltas(index_dir: str) -> list[int]:
+    """Fold ALL staged delta segments into the main index: one Ray Data
+    job over the word-bucket ids, one ``_fold_bucket`` call per bucket.
+    Per doc only its LATEST staged round's rows survive, and main loses
+    the old rows of every staged doc (incl. purges). Only main files
+    holding a removed doc are rewritten; each changed bucket gains at
+    most one file per fold — a periodic ``build_postings`` rebuild (or
+    more NUM_WORD_BUCKETS) is the compaction story for long runs.
+
+    Crash safety: ``.deltas`` is cleared only after every bucket is
+    done. A re-run after a crash finds the delta files it already
+    appended full of staged docs, filters them away with the rest, and
+    appends the same rows again — the fold is idempotent. Returns the
+    sorted ids of the buckets that changed."""
+    import shutil
+    from pathlib import Path
 
     rounds = _staged_round_dirs(index_dir)
     if not rounds:
         return []
     _recover_index(index_dir)
-    docs_per_round = [
-        pq.read_table(str(r / "_docs.parquet"))["doc_seq"].to_numpy()
-        for r in rounds]
-    remove = np.unique(np.concatenate(docs_per_round))
+    dirs = list(Path(index_dir).glob("word_bucket=*"))
+    for r in rounds:
+        dirs.extend((r / "postings").glob("word_bucket=*"))
+    buckets = sorted({int(d.name.split("=")[1]) for d in dirs})
+    touched: list[int] = []
+    if buckets:
+        round_dirs = [str(r) for r in rounds]
 
-    parts: "list[rd.Dataset]" = []
-    for i, r in enumerate(rounds):
-        ds_i = _staged_postings(r)
-        later = docs_per_round[i + 1:]
-        if later:
-            ds_i = _mask_docs(ds_i, np.unique(np.concatenate(later)))
-        parts.append(ds_i)
-    delta = parts[0]
-    for p in parts[1:]:
-        delta = delta.union(p)
-    touched = _apply_delta(index_dir, delta.materialize(), remove,
-                           broadcast_max_docs)
+        def fold(batch: pa.Table) -> pa.Table:
+            ks = batch["bucket"].to_pylist()
+            changed = [_fold_bucket(index_dir, round_dirs, k) for k in ks]
+            return pa.table({"bucket": pa.array(ks, pa.int32()),
+                             "changed": pa.array(changed, pa.bool_())})
+
+        # one block per CPU: a Ray task costs more than folding a small
+        # bucket, so each task folds its run of buckets one call apiece
+        n_cpu = int(ray.cluster_resources().get("CPU", 1))
+        out = (rd.from_items([{"bucket": k} for k in buckets],
+                             override_num_blocks=min(len(buckets), n_cpu))
+                 .map_batches(fold, batch_format="pyarrow", batch_size=1)
+                 .take_all())
+        touched = sorted(int(r["bucket"]) for r in out if r["changed"])
     for r in rounds:
         shutil.rmtree(r, ignore_errors=True)
     return touched
@@ -597,7 +470,6 @@ def update_postings_index_staged(
         index_dir: str, store_path: str,
         purge_doc_seqs: "list[int] | tuple[int, ...]" = (),
         fold_threshold: float = 0.1,
-        broadcast_max_docs: int = 2_000_000,
         per_lang_stopwords: bool = False) -> dict:
     """The staged flavor of update_postings_index: stage this round's
     delta (O(round), no index reads), then fold the accumulated segments
@@ -617,7 +489,7 @@ def update_postings_index_staged(
     staged_rows = _parquet_rows(staged_files)
     main_rows = _parquet_rows(main_files)
     folded = staged_rows >= fold_threshold * max(main_rows, 1)
-    touched = fold_deltas(index_dir, broadcast_max_docs) if folded else []
+    touched = fold_deltas(index_dir) if folded else []
     return {"staged_round": rnd, "folded": folded,
             "touched": touched, "staged_rows": staged_rows,
             "main_rows": main_rows}

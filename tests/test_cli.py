@@ -71,9 +71,12 @@ def test_cli_index_incremental_update(cli_corpus):
     upd = json.loads(_run("index", "--pages", f"{run_out}/store/{rounds[1]}",
                           "--index-dir", idx, "--update")
                      .strip().splitlines()[-1])
-    assert upd["buckets_rewritten"]
-    for k in upd["buckets_rewritten"]:
+    touched = upd["buckets_rewritten"]
+    assert touched and touched == sorted(set(touched))
+    for k in touched:
         assert os.path.isdir(f"{idx}/word_bucket={k}")
+    # the refresh folds what it staged
+    assert not os.listdir(f"{idx}/.deltas")
 
 
 def test_cli_searchd_daemon(cli_corpus):

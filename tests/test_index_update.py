@@ -125,20 +125,30 @@ def test_update_recovers_from_crashed_swap(ray_session, tmp_path):
     assert inc.equals(full)
 
 
-def test_broadcast_and_keyed_paths_agree(ray_session, tmp_path):
+def test_unstaged_and_staged_refresh_agree(ray_session, tmp_path):
+    """update_postings_index and update_postings_index_staged with
+    fold_threshold=0 run the same stage + per-bucket fold, so both equal
+    a rebuild over the final corpus state."""
+    from aspseek_ray.pipelines.index_products import (
+        _read_bucketed_postings, update_postings_index_staged)
+
     urls = [f"http://h{i % 3}.example/p{i}.html" for i in range(30)]
     texts = [f"tok{i % 7} tok{i % 11} stable suffix words" for i in range(30)]
     _write_pages(tmp_path / "r0.parquet", urls, texts)
     _write_pages(tmp_path / "r1.parquet", urls[:8],
                  [f"replaced body tok{i}" for i in range(8)])
 
-    from aspseek_ray.pipelines.index_products import _read_bucketed_postings
-
-    outs = []
-    for bmax in (2_000_000, 0):   # broadcast path, then forced keyed path
-        idx = str(tmp_path / f"idx_{bmax}")
+    idx_a, idx_b = str(tmp_path / "idx_a"), str(tmp_path / "idx_b")
+    for idx in (idx_a, idx_b):
         build_postings(str(tmp_path / "r0.parquet"), out_dir=idx)
-        update_postings_index(idx, str(tmp_path / "r1.parquet"),
-                              broadcast_max_docs=bmax)
-        outs.append(_merged_table(_read_bucketed_postings(idx)))
-    assert outs[0].equals(outs[1])
+    update_postings_index(idx_a, str(tmp_path / "r1.parquet"))
+    r = update_postings_index_staged(idx_b, str(tmp_path / "r1.parquet"),
+                                     fold_threshold=0.0)
+    assert r["folded"] and r["touched"]
+    ta = _merged_table(_read_bucketed_postings(idx_a))
+    tb = _merged_table(_read_bucketed_postings(idx_b))
+    _write_pages(tmp_path / "final.parquet", urls,
+                 [f"replaced body tok{i}" for i in range(8)] + texts[8:])
+    full = _merged_table(build_postings(str(tmp_path / "final.parquet")))
+    assert ta.equals(tb)
+    assert ta.equals(full)
