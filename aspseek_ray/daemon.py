@@ -11,9 +11,11 @@ the semantics:
 
 * ``SearchdServer`` — threaded TCP server answering SEARCH requests via
   :func:`aspseek_ray.pipelines.search.ranked_crawl_search` (the full
-  qparser -> boolean -> tf·idf×pagerank -> site-group -> excerpt
-  lifecycle; the ranks are computed once per pages table, by the first
-  query that needs them, and read from a disk cache after that —
+  qparser -> wildcard expansion -> boolean -> tf·idf×pagerank ->
+  site-group -> excerpt lifecycle over the store's postings index).
+  The store index and the ranks are each built once, by the first
+  query that needs them — never at ``start()`` — and read from disk
+  caches after that (``search._ensure_store_index``,
   ``index_products.ensure_ranks``).  Like the reference, the daemon
   computes the full result set ONCE per distinct (query, grouping)
   pair, stores it in the LRU query cache (T6, ``src/qcache.cpp`` role),

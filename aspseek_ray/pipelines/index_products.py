@@ -62,7 +62,14 @@ def build_postings(pages_path: str, out_dir: str | None = None,
 
     ``honor_noindex``: drop pages whose html carries a meta-robots
     noindex directive before tokenizing (O6 policy: the page is crawled
-    and stored, but its words never enter the index)."""
+    and stored, but its words never enter the index).
+
+    Raises ValueError when ``pages_path`` is a directory holding no
+    parquet file."""
+    from pathlib import Path
+
+    if Path(pages_path).is_dir() and not any(Path(pages_path).rglob("*.parquet")):
+        raise ValueError(f"no parquet file under {pages_path}")
     cols = ["url", "text"] + (["lang"] if per_lang_stopwords else [])
     if honor_noindex:
         from aspseek_ray.functions.html import extract_meta_robots
@@ -123,6 +130,37 @@ def build_postings_latest(round_dirs: "list[str]", out_dir: str | None = None,
                                 per_lang_stopwords)
 
 
+def _explode(doc_seqs, texts: list, stops: "list | None",
+             doclen: bool = False) -> pa.Table:
+    """The one postings explode kernel: (word, word_bucket, doc_seq,
+    positions) rows, one per distinct word of each text, positions
+    counted over every token. ``stops`` holds each doc's stoplist (None
+    keeps every word); ``doclen`` adds each doc's token count to its
+    rows."""
+    words, docs, positions, doclens = [], [], [], []
+    for i, text in enumerate(texts):
+        toks = tokenize(text or "")
+        pos_of: dict[str, list[int]] = {}
+        for p, w in enumerate(toks):
+            if stops is not None and w in stops[i]:
+                continue
+            pos_of.setdefault(w, []).append(p)
+        for w, ps in pos_of.items():
+            words.append(w)
+            docs.append(int(doc_seqs[i]))
+            positions.append(ps)
+            doclens.append(len(toks))
+    warr = pa.array(words, pa.string())
+    bucket = np.abs(fnv1a64_arrow(warr)) % NUM_WORD_BUCKETS
+    cols = {"word": warr,
+            "word_bucket": pa.array(bucket.astype(np.int32)),
+            "doc_seq": pa.array(docs, pa.int64()),
+            "positions": pa.array(positions, pa.list_(pa.int32()))}
+    if doclen:
+        cols["doclen"] = pa.array(doclens, pa.int64())
+    return pa.table(cols)
+
+
 def _postings_from_pages(ds: rd.Dataset, out_dir: str | None,
                          drop_stopwords: bool,
                          per_lang_stopwords: bool) -> rd.Dataset:
@@ -131,30 +169,12 @@ def _postings_from_pages(ds: rd.Dataset, out_dir: str | None,
     def explode(batch: pa.Table) -> pa.Table:
         from aspseek_ray.functions.text import stopwords_for
 
-        words, docs, positions = [], [], []
-        doc_hashes = fnv1a64_arrow(batch["url"])
-        langs = (batch["lang"].to_pylist() if per_lang_stopwords
-                 else [None] * batch.num_rows)
-        for i, text in enumerate(batch["text"].to_pylist()):
-            stops = (stopwords_for(langs[i]) if per_lang_stopwords
-                     else STOPWORDS_EN)
-            pos_of: dict[str, list[int]] = {}
-            for p, w in enumerate(tokenize(text)):
-                if drop_stopwords and w in stops:
-                    continue
-                pos_of.setdefault(w, []).append(p)
-            for w, ps in pos_of.items():
-                words.append(w)
-                docs.append(int(doc_hashes[i]))
-                positions.append(ps)
-        warr = pa.array(words, pa.string())
-        bucket = np.abs(fnv1a64_arrow(warr)) % NUM_WORD_BUCKETS
-        return pa.table({
-            "word": warr,
-            "word_bucket": pa.array(bucket.astype(np.int32)),
-            "doc_seq": pa.array(docs, pa.int64()),
-            "positions": pa.array(positions, pa.list_(pa.int32())),
-        })
+        stops = None
+        if drop_stopwords:
+            stops = ([stopwords_for(lang) for lang in batch["lang"].to_pylist()]
+                     if per_lang_stopwords else [STOPWORDS_EN] * batch.num_rows)
+        return _explode(fnv1a64_arrow(batch["url"]),
+                        batch["text"].to_pylist(), stops)
 
     postings = ds.map_batches(explode, batch_format="pyarrow")
     if out_dir:

@@ -167,8 +167,8 @@ class _Parser:
             self.next()
             child = self.unary()
             # NOT NOT x == x: collapse at parse time so the postings
-            # evaluator (_eval) and the streaming matches() evaluator
-            # agree on nested negation.
+            # evaluators (_eval, the distributed bitmask plan) and
+            # matches() agree on nested negation.
             return child.child if isinstance(child, Not) else Not(child)
         return self.atom()
 
@@ -288,9 +288,9 @@ def expand_prefixes(node: Node, expander, suffix_expander=None) -> Node:
 
 
 def matches(node: Node, toks: list[str], tokset: set[str]) -> bool:
-    """Per-document boolean evaluation over an already-tokenized doc —
-    the evaluator used when the docs stream by (crawl-store search)
-    instead of sitting in a postings index."""
+    """Per-document boolean evaluation over an already-tokenized doc.
+    No search path uses it (every query reads a postings index through
+    _eval); aspbench/prepare.py checks its drawn queries with it."""
     if isinstance(node, Term):
         return node.word in tokset
     if isinstance(node, Phrase):
@@ -370,8 +370,10 @@ def search_query(sf_dir: str, q: str,
     if driver_max_posting_rows is None:
         driver_max_posting_rows = DRIVER_MAX_POSTING_ROWS
     ast = parse_query(q)
-    from aspseek_ray.pipelines.search import _prefix_words, _suffix_words
+    from aspseek_ray.pipelines.search import (_ensure_doc_postings,
+                                              _prefix_words, _suffix_words)
 
-    ast = expand_prefixes(ast, lambda p: _prefix_words(sf_dir, p),
-                          lambda p: _suffix_words(sf_dir, p))
-    return _ast_plan(sf_dir, ast, driver_max_posting_rows)
+    pdir = _ensure_doc_postings(sf_dir)
+    ast = expand_prefixes(ast, lambda p: _prefix_words(pdir, p),
+                          lambda p: _suffix_words(pdir, p))
+    return _ast_plan(pdir, ast, driver_max_posting_rows)

@@ -1,26 +1,34 @@
 """Search-side query core (SURVEY.md §3.2 searchd: src/qparser.cpp /
 src/search.cpp / src/results.cpp — boolean & phrase matching over postings,
-tf·idf-flavored ranking, top-k). The daemon/socket surface is out of the
-flagship scope; the QUERY SEMANTICS are rebuilt over the inverted index the
-engine itself builds (index_products.build-postings shape), with exact
-DuckDB oracles.
+tf·idf-flavored ranking, top-k), with exact DuckDB oracles.
 
-Queries READ THE INDEX, not the raw text: the postings parquet is
-partitioned by word_bucket, so a query touches only its terms' bucket
-partitions (word-pruned row filter inside) — at corpus scale this is the
-difference between a top-k in milliseconds and a full-corpus rescan. The
-index for a documents table is built once and cached on disk keyed by the
-source file identity (the delta/main merge story of SURVEY O21 covers
-incremental refresh).
+Every query READS AN INDEX, never the raw text. Two indexes share one
+format (index_products._explode rows (word, word_bucket, doc_seq,
+positions), parquet-partitioned by word_bucket) and one set of readers
+(_term_postings_ds, _ast_plan, _vocab_scan), each taking an index dir:
+
+  * the documents index (_ensure_doc_postings, doc_seq = doc_id, plus
+    doclen) behind the sf_dir queries;
+  * the crawl store index (_ensure_store_index, doc_seq = fnv1a64(url),
+    plus a doc_seq -> url table) behind ranked_crawl_search,
+    anchor_boosted_search and the searchd daemon.
+
+A query touches only its terms' bucket partitions (word-pruned row
+filter inside), so its cost follows its posting lists, not the corpus.
+Both indexes keep every word (the query layer decides) and are built
+once, by the first query that needs them, and cached on disk keyed by
+the source files' identity (the delta/main merge story of SURVEY O21
+covers incremental refresh of the crawl's own index).
 
 Pinned semantics (tokenizer = functions/text.py::tokenize):
   * boolean AND: doc contains every term; OR: any term; NOT: include term
     present and exclude term absent (qparser.cpp boolean grammar, O27);
   * phrase "w1 w2": exists position p with token[p]==w1, token[p+1]==w2
     (reference phrase-position check, O27);
+  * wildcards w* / *w: expanded against the index vocabulary first;
   * ranked: score(d) = sum_t tf(t,d) * ln(N / df(t)) over the query terms,
-    top-k by (score desc, doc_id) — the df-weighted scoring role of
-    src/search.cpp (O24/O30).
+    tf = |positions|, top-k by (score desc, doc_id) — the df-weighted
+    scoring role of src/search.cpp (O24/O30).
 """
 
 from __future__ import annotations
@@ -33,11 +41,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
 from aspseek_ray.functions.hashing import fnv1a64, fnv1a64_arrow
-from aspseek_ray.functions.text import tokenize
 from aspseek_ray.pipelines.index_products import NUM_WORD_BUCKETS
 from aspseek_ray.runtime import build_once, source_key
 
@@ -46,51 +54,34 @@ DEFAULT_TERMS = ("spark", "window", "scan")
 
 
 # ------------------------------------------------------------- index build
-def _ensure_doc_postings(sf_dir: str) -> tuple[str, int]:
+def _ensure_doc_postings(sf_dir: str) -> str:
     """Build (once, disk-cached by source identity) the word_bucket-
     partitioned postings index for the documents table: rows
-    (word, word_bucket, doc_seq=doc_id, positions). No stopword dropping —
-    the query layer decides. Returns (postings_dir, n_docs)."""
+    (word, word_bucket, doc_seq=doc_id, positions, doclen). No stopword
+    dropping — the query layer decides. Returns the index dir; its
+    manifest holds n_docs and total_tokens."""
     doc_path = f"{sf_dir}/documents.parquet"
     # :v2 — format bump: posting rows now carry the doc's token count
     # (doclen, the Lucene-norms denormalization BM25 needs) and the
     # manifest records total_tokens for avgdl.
     out = Path("/tmp/aspseek_ray_postings") / source_key(doc_path, "v2")
-    build_once(out, lambda build: _build_doc_postings(doc_path, build))
-    return str(out), _index_manifest(str(out))["n_docs"]
+    return str(build_once(out, lambda build: _build_doc_postings(doc_path,
+                                                                 build)))
 
 
 def _build_doc_postings(doc_path: str, build: Path) -> None:
+    from aspseek_ray.pipelines.index_products import _explode
+
     ds = rd.read_parquet(doc_path, columns=["doc_id", "text"])
     n_docs = ds.count()
-
-    def explode(batch: pa.Table) -> pa.Table:
-        words, docs, positions, doclens = [], [], [], []
-        for d, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-            pos_of: dict[str, list[int]] = {}
-            toks = tokenize(text)
-            for p, w in enumerate(toks):
-                pos_of.setdefault(w, []).append(p)
-            for w, ps in pos_of.items():
-                words.append(w)
-                docs.append(int(d))
-                positions.append(ps)
-                doclens.append(len(toks))
-        warr = pa.array(words, pa.string())
-        bucket = np.abs(fnv1a64_arrow(warr)) % NUM_WORD_BUCKETS
-        return pa.table({
-            "word": warr,
-            "word_bucket": pa.array(bucket.astype(np.int32)),
-            "doc_seq": pa.array(docs, pa.int64()),
-            "positions": pa.array(positions, pa.list_(pa.int32())),
-            # denormalized per-doc token count (Lucene keeps the same
-            # per-doc norm beside every posting): lets BM25's length
-            # normalization run embarrassingly parallel over posting rows
-            # instead of joining a corpus-sized doclen table.
-            "doclen": pa.array(doclens, pa.int64()),
-        })
-
-    (ds.map_batches(explode, batch_format="pyarrow")
+    # doclen: the denormalized per-doc token count (Lucene keeps the same
+    # per-doc norm beside every posting) lets BM25's length normalization
+    # run embarrassingly parallel over posting rows instead of joining a
+    # corpus-sized doclen table.
+    (ds.map_batches(lambda b: _explode(b["doc_id"].to_numpy(),
+                                       b["text"].to_pylist(), None,
+                                       doclen=True),
+                    batch_format="pyarrow")
        .write_parquet(str(build), partition_cols=["word_bucket"]))
     # total corpus tokens (for BM25 avgdl): every token occurrence sits in
     # exactly one positions list, so a column-pruned scan of the freshly
@@ -106,6 +97,64 @@ def _build_doc_postings(doc_path: str, build: Path) -> None:
               .sum("n") or 0)
     (build / "manifest.json").write_text(
         json.dumps({"n_docs": n_docs, "total_tokens": total_tokens}))
+
+
+def _ensure_store_index(store_dir: str) -> str:
+    """Build (once, disk-cached by source identity, like ensure_ranks)
+    the postings index of a crawl store: the ``build_postings`` rows
+    (word, word_bucket, doc_seq=fnv1a64(url), positions) with every word
+    kept, since ranked search scores every word; ``docs/`` rows
+    (doc_seq, url), so results resolve to urls; and a manifest with
+    n_docs (the store's row count). Built by the first query that needs
+    it, never at daemon start. A rewritten store file changes the key,
+    so a changed store is indexed again."""
+    out = Path("/tmp/aspseek_ray_store_idx") / source_key(store_dir, "store1")
+    return str(build_once(out, lambda build: _build_store_index(store_dir,
+                                                                build)))
+
+
+def _build_store_index(store_dir: str, build: Path) -> None:
+    from aspseek_ray.pipelines.index_products import build_postings
+
+    (build_postings(store_dir, drop_stopwords=False)
+        .write_parquet(str(build), partition_cols=["word_bucket"]))
+    (rd.read_parquet(store_dir, columns=["url"])
+       .map_batches(lambda b: pa.table({
+           "doc_seq": pa.array(fnv1a64_arrow(b["url"]), pa.int64()),
+           "url": b["url"]}), batch_format="pyarrow")
+       .write_parquet(str(build / "docs")))
+    n_docs = sum(pq.ParquetFile(f).metadata.num_rows
+                 for f in (build / "docs").glob("*.parquet"))
+    (build / "manifest.json").write_text(json.dumps({"n_docs": n_docs}))
+
+
+def _doc_table(idx: str, seqs=None, rdir: str | None = None) -> pa.Table:
+    """(doc_seq, url[, rank]) rows of a store index's docs sorted by
+    doc_seq: only the docs in ``seqs`` when given; ``rank`` from the
+    ensure_ranks table ``rdir`` (0.0 for a url it lacks)."""
+    import pyarrow.dataset as pads
+
+    files = sorted(str(f) for f in (Path(idx) / "docs").glob("*.parquet"))
+    t = pa.table({"doc_seq": pa.array([], pa.int64()),
+                  "url": pa.array([], pa.string())})
+    if files:
+        flt = (None if seqs is None else
+               pc.field("doc_seq").isin(pa.array(list(seqs), pa.int64())))
+        t = pads.dataset(files, format="parquet").to_table(
+            columns=["doc_seq", "url"], filter=flt)
+    if rdir is not None:
+        ranks = pads.dataset(rdir, format="parquet").to_table(
+            columns=["url", "rank"],
+            filter=pc.field("url").isin(t["url"].combine_chunks()))
+        t = t.join(ranks, "url", join_type="left outer")
+        t = t.set_column(t.schema.get_field_index("rank"), "rank",
+                         pc.fill_null(t["rank"].cast(pa.float64()), 0.0))
+    return t.sort_by("doc_seq")
+
+
+# one worker builds the url (and rank) lookup of a distributed plan; its
+# batches probe it by doc_seq instead of a shuffle join
+_doc_table_task = ray.remote(_doc_table)
 
 
 def _ensure_stem_forms(pdir: str) -> str:
@@ -154,16 +203,14 @@ def _index_manifest(pdir: str) -> dict:
     return json.loads((Path(pdir) / "manifest.json").read_text())
 
 
-def _term_postings_ds(sf_dir: str, terms: tuple[str, ...],
+def _term_postings_ds(pdir: str, terms: tuple[str, ...],
                       columns: tuple[str, ...] = ("word", "doc_seq",
                                                   "positions"),
-                      ) -> tuple["rd.Dataset | None", int]:
-    """Lazy pruned posting fetch: a Dataset over ONLY the terms'
-    word_bucket partitions with a word-pruned row filter (the searchd
-    cache.cpp role: query cost scales with posting-list size, not corpus
-    size). Returns (Dataset of (word, doc_seq, positions) or None when no
-    bucket exists, n_docs)."""
-    pdir, n_docs = _ensure_doc_postings(sf_dir)
+                      ) -> "rd.Dataset | None":
+    """Lazy pruned posting fetch from the index ``pdir``: a Dataset over
+    ONLY the terms' word_bucket partitions with a word-pruned row filter
+    (the searchd cache.cpp role: query cost scales with posting-list
+    size, not corpus size). None when no bucket exists."""
     buckets = sorted({int(np.abs(fnv1a64(w)) % NUM_WORD_BUCKETS) for w in terms})
     paths = []
     for b in buckets:
@@ -171,10 +218,9 @@ def _term_postings_ds(sf_dir: str, terms: tuple[str, ...],
         if d.exists():
             paths.extend(sorted(str(f) for f in d.glob("*.parquet")))
     if not paths:
-        return None, n_docs
-    ds = rd.read_parquet(paths, columns=list(columns),
-                         filter=pc.field("word").isin(list(terms)))
-    return ds, n_docs
+        return None
+    return rd.read_parquet(paths, columns=list(columns),
+                           filter=pc.field("word").isin(list(terms)))
 
 
 _EMPTY_POSTINGS = {"word": pa.array([], pa.string()),
@@ -182,27 +228,20 @@ _EMPTY_POSTINGS = {"word": pa.array([], pa.string()),
                    "positions": pa.array([], pa.list_(pa.int32()))}
 
 
-def _term_postings(sf_dir: str, terms: tuple[str, ...]) -> tuple[pa.Table, int]:
-    """Driver-side posting fetch (small-query path): collect the pruned
-    Dataset of _term_postings_ds into one Arrow table."""
-    ds, n_docs = _term_postings_ds(sf_dir, terms)
+def _collect(ds: "rd.Dataset | None") -> pa.Table:
+    """Driver-side posting fetch (small-query path): one Arrow table of
+    a pruned posting Dataset's rows."""
     if ds is None:
-        return pa.table(_EMPTY_POSTINGS), n_docs
+        return pa.table(_EMPTY_POSTINGS)
     parts = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
     if not parts:
-        return pa.table(_EMPTY_POSTINGS), n_docs
-    return pa.concat_tables(parts).combine_chunks(), n_docs
+        return pa.table(_EMPTY_POSTINGS)
+    return pa.concat_tables(parts).combine_chunks()
 
 
-def _doc_sets(post: pa.Table) -> dict[str, np.ndarray]:
-    """word -> sorted doc_seq array from a term-postings table."""
-    out: dict[str, np.ndarray] = {}
-    if post.num_rows == 0:
-        return out
-    df = post.select(["word", "doc_seq"]).to_pandas()
-    for w, g in df.groupby("word", sort=False):
-        out[w] = np.sort(g["doc_seq"].to_numpy())
-    return out
+def _term_postings(pdir: str, terms: tuple[str, ...]) -> pa.Table:
+    """The terms' posting rows of the index ``pdir``, on the driver."""
+    return _collect(_term_postings_ds(pdir, terms))
 
 
 # ---------------------------------------------- distributed set algebra
@@ -332,28 +371,11 @@ def _eval_ast_distributed(ds: "rd.Dataset", ast) -> "rd.Dataset":
     return masks.map_batches(apply_truth, batch_format="pyarrow")
 
 
-def _ast_plan(sf_dir: str, ast,
-              driver_max_posting_rows: int = DRIVER_MAX_POSTING_ROWS,
-              ) -> pa.Table:
-    """Unified two-plan boolean/phrase query (the ranked_crawl_search
-    dual-plan pattern): one pruned posting fetch for all leaf terms, then
-    EITHER driver-side numpy set algebra (qparser._eval — posting rows
-    fit the driver budget) OR the distributed bitmask plan above it.
-    Plans are semantically identical (proven equal in
-    tests/test_search_scale.py). Returns (doc_id) sorted ascending."""
-    from aspseek_ray.pipelines.qparser import _eval, leaf_terms
+def _eval_driver(post: pa.Table, ast) -> np.ndarray:
+    """Sorted doc ids matching ``ast`` over a term-postings table: numpy
+    set algebra and the phrase position check (qparser._eval)."""
+    from aspseek_ray.pipelines.qparser import _eval
 
-    terms = tuple(sorted(leaf_terms(ast)))
-    ds, _ = _term_postings_ds(sf_dir, terms)
-    empty = pa.table({"doc_id": pa.array([], pa.int64())})
-    if ds is None:
-        return empty
-    if ds.count() > driver_max_posting_rows:
-        out = _eval_ast_distributed(ds, ast).sort("doc_id")
-        parts = [t for t in ray.get(out.materialize().to_arrow_refs()) if t.num_rows]
-        return (pa.concat_tables(parts).combine_chunks()
-                if parts else empty)
-    post = _term_postings(sf_dir, terms)[0]
     pos_of: dict[tuple[str, int], np.ndarray] = {}
     docs_of: dict[str, list[int]] = {}
     for w, d, ps in zip(post["word"].to_pylist(), post["doc_seq"].to_pylist(),
@@ -361,7 +383,31 @@ def _ast_plan(sf_dir: str, ast,
         pos_of[(w, d)] = np.asarray(ps, np.int64)
         docs_of.setdefault(w, []).append(d)
     sets = {w: np.sort(np.asarray(dl, np.int64)) for w, dl in docs_of.items()}
-    return pa.table({"doc_id": pa.array(np.sort(_eval(ast, pos_of, sets)),
+    return np.sort(_eval(ast, pos_of, sets))
+
+
+def _ast_plan(pdir: str, ast,
+              driver_max_posting_rows: int = DRIVER_MAX_POSTING_ROWS,
+              ) -> pa.Table:
+    """Unified two-plan boolean/phrase query over the index ``pdir``:
+    one pruned posting fetch for all leaf terms, then EITHER driver-side
+    numpy set algebra (_eval_driver — posting rows fit the driver
+    budget) OR the distributed bitmask plan above it. Plans are
+    semantically identical (proven equal in tests/test_search_scale.py).
+    Returns (doc_id) sorted ascending."""
+    from aspseek_ray.pipelines.qparser import leaf_terms
+
+    ds = _term_postings_ds(pdir, tuple(sorted(leaf_terms(ast))))
+    empty = pa.table({"doc_id": pa.array([], pa.int64())})
+    if ds is None:
+        return empty
+    ds = ds.materialize()
+    if ds.count() > driver_max_posting_rows:
+        out = _eval_ast_distributed(ds, ast).sort("doc_id")
+        parts = [t for t in ray.get(out.materialize().to_arrow_refs()) if t.num_rows]
+        return (pa.concat_tables(parts).combine_chunks()
+                if parts else empty)
+    return pa.table({"doc_id": pa.array(_eval_driver(_collect(ds), ast),
                                         pa.int64())})
 
 
@@ -379,7 +425,8 @@ def phrase_search(sf_dir: str,
 
     words = tuple(phrase)
     assert len(words) >= 2
-    return _ast_plan(sf_dir, Phrase(words), driver_max_posting_rows)
+    return _ast_plan(_ensure_doc_postings(sf_dir), Phrase(words),
+                     driver_max_posting_rows)
 
 
 def boolean_and_search(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
@@ -392,7 +439,8 @@ def boolean_and_search(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
 
     uniq = tuple(dict.fromkeys(terms))
     ast = Term(uniq[0]) if len(uniq) == 1 else And(tuple(Term(t) for t in uniq))
-    return _ast_plan(sf_dir, ast, driver_max_posting_rows)
+    return _ast_plan(_ensure_doc_postings(sf_dir), ast,
+                     driver_max_posting_rows)
 
 
 def boolean_or_search(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
@@ -405,7 +453,8 @@ def boolean_or_search(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
 
     uniq = tuple(dict.fromkeys(terms))
     ast = Term(uniq[0]) if len(uniq) == 1 else Or(tuple(Term(t) for t in uniq))
-    return _ast_plan(sf_dir, ast, driver_max_posting_rows)
+    return _ast_plan(_ensure_doc_postings(sf_dir), ast,
+                     driver_max_posting_rows)
 
 
 def boolean_not_search(sf_dir: str, include: str = "spark",
@@ -418,7 +467,8 @@ def boolean_not_search(sf_dir: str, include: str = "spark",
     from aspseek_ray.pipelines.qparser import And, Not, Term
 
     ast = And((Term(include), Not(Term(exclude))))
-    return _ast_plan(sf_dir, ast, driver_max_posting_rows)
+    return _ast_plan(_ensure_doc_postings(sf_dir), ast,
+                     driver_max_posting_rows)
 
 
 def stemmed_search(sf_dir: str,
@@ -432,7 +482,7 @@ def stemmed_search(sf_dir: str,
     pruned posting fetch runs on the matched forms."""
     from aspseek_ray.functions.morphology import stem
 
-    pdir, _ = _ensure_doc_postings(sf_dir)
+    pdir = _ensure_doc_postings(sf_dir)
     want = {stem(t) for t in terms}
     sdir = _ensure_stem_forms(pdir)
     buckets = sorted({int(np.abs(fnv1a64(s)) % NUM_WORD_BUCKETS)
@@ -463,7 +513,7 @@ def stemmed_search(sf_dir: str,
         Term(fs[0]) if len(fs) == 1 else Or(tuple(Term(f) for f in fs))
         for s, fs in sorted(forms_of.items()))
     ast = groups[0] if len(groups) == 1 else And(groups)
-    return _ast_plan(sf_dir, ast)
+    return _ast_plan(pdir, ast)
 
 
 def ispell_search(sf_dir: str, word: str, affix_text: str,
@@ -492,148 +542,104 @@ def ispell_search(sf_dir: str, word: str, affix_text: str,
     return boolean_or_search(sf_dir, tuple(sorted(forms)))
 
 
-def _tf_rows_fn(term_set: frozenset, ast):
-    """Batch fn: (url, term, tf) rows for docs passing the (optional)
-    parsed-query admissibility check — shared by both ranked-search
-    plans, so their scoring inputs are identical by construction."""
-
-    def tf_rows(batch: pa.Table) -> pa.Table:
-        if ast is not None:
-            from aspseek_ray.pipelines.qparser import matches
-        urls_, terms_, tfs = [], [], []
-        for u, t in zip(batch["url"].to_pylist(), batch["text"].to_pylist()):
-            toks = tokenize(t or "")
-            if ast is not None and not matches(ast, toks, set(toks)):
-                continue
-            counts: dict[str, int] = {}
-            for w in toks:
-                if w in term_set:
-                    counts[w] = counts.get(w, 0) + 1
-            for w, c in counts.items():
-                urls_.append(u)
-                terms_.append(w)
-                tfs.append(c)
-        return pa.table({"url": pa.array(urls_, pa.string()),
-                         "term": pa.array(terms_, pa.string()),
-                         "tf": pa.array(tfs, pa.int64())})
-
-    return tf_rows
+def _scored_rows(post: pa.Table, terms: tuple[str, ...],
+                 adm: "np.ndarray | None") -> pa.Table:
+    """(doc_seq, term, tf = |positions|) rows of a term-postings table:
+    the scored ``terms`` only, in the docs of ``adm`` (every doc when
+    None) — the scoring input of both plans."""
+    keep = pc.is_in(post["word"], value_set=pa.array(terms, pa.string()))
+    if adm is not None:
+        keep = pc.and_(keep, pa.array(np.isin(post["doc_seq"].to_numpy(), adm)))
+    post = post.filter(keep)
+    return pa.table({"doc_seq": post["doc_seq"], "term": post["word"],
+                     "tf": pc.list_value_length(post["positions"])
+                             .cast(pa.int64())})
 
 
-def _ranked_crawl_distributed(store: "rd.Dataset", store_dir: str,
-                              pages_path: str, terms: tuple[str, ...],
-                              ast, n_docs: int, k: int,
-                              damping_rank: float, excerpt_width: int,
-                              per_site: int | None) -> pa.Table:
-    """The scale plan of ranked_crawl_search: scoring aggregation, the
-    pagerank join, per-host capping and top-k selection all run as Ray
-    groupby/join/map_batches; the driver receives only per-batch partial
-    top-k candidates (O(k x blocks) rows) and slices excerpts for the
-    final result urls alone. Semantics identical to the driver plan
-    (test_round3 proves both plans equal on the same store)."""
+def _body_weights(idx: str, leaf: tuple[str, ...], terms: tuple[str, ...],
+                  ast, n_docs: int) -> pd.Series:
+    """Driver plan: w(doc) = sum_t tf*ln(N/df) over the scored ``terms``
+    in the docs matching ``ast`` (every doc holding a term when None),
+    df counted over those docs; a Series indexed by doc_seq."""
+    post = _term_postings(idx, leaf)
+    adm = _eval_driver(post, ast) if ast is not None else None
+    rows = _scored_rows(post, terms, adm).to_pandas()
+    idf = {t: math.log(n_docs / d)
+           for t, d in rows.groupby("term").size().items()}
+    rows["w"] = rows["tf"] * rows["term"].map(idf).astype(np.float64)
+    return rows.groupby("doc_seq")["w"].sum()
+
+
+def _body_weights_ds(idx: str, leaf: tuple[str, ...], terms: tuple[str, ...],
+                     ast, n_docs: int) -> "rd.Dataset | None":
+    """Distributed plan of _body_weights: (doc_seq, w) rows, or None when
+    no doc holds a term. The docs matching ``ast`` come from
+    _eval_ast_distributed and reach the batches as a sorted doc-id array
+    reduced on a worker, so no join runs."""
     from ray.data.aggregate import Count, Sum
 
-    from aspseek_ray.functions.url import host_of
-    from aspseek_ray.pipelines.index_products import ensure_ranks
-    from aspseek_ray.runtime import join_partitions
+    from aspseek_ray.runtime import unique_keys_ref
 
-    def _empty() -> pa.Table:
-        cols = {"url": pa.array([], pa.string()),
-                "score": pa.array([], pa.float64()),
-                "excerpt": pa.array([], pa.string())}
-        if per_site is not None:
-            cols = {"host": pa.array([], pa.string()), **cols}
-        return pa.table(cols)
-
-    tf = store.map_batches(_tf_rows_fn(frozenset(terms), ast),
-                           batch_format="pyarrow").materialize()
+    ds = _term_postings_ds(idx, leaf)
+    if ds is None:
+        return None
+    adm = (None if ast is None
+           else unique_keys_ref(_eval_ast_distributed(ds, ast), "doc_id"))
+    tf = ds.map_batches(
+        lambda b: _scored_rows(b, terms, None if adm is None else ray.get(adm)),
+        batch_format="pyarrow").materialize()
     dfp = tf.groupby("term").aggregate(Count(alias_name="df")).to_pandas()
     if not len(dfp):
-        return _empty()
+        return None
     idf = {t: math.log(n_docs / d) for t, d in zip(dfp["term"], dfp["df"])}
 
     def weigh(b: pa.Table) -> pa.Table:
         w = b["tf"].to_numpy().astype(np.float64) * np.array(
             [idf[t] for t in b["term"].to_pylist()])
-        return pa.table({"url": b["url"], "w": pa.array(w)})
+        return pa.table({"doc_seq": b["doc_seq"], "w": pa.array(w)})
 
-    scores = (tf.map_batches(weigh, batch_format="pyarrow")
-                .groupby("url").aggregate(Sum("w", alias_name="w")))
+    return (tf.map_batches(weigh, batch_format="pyarrow")
+              .groupby("doc_seq").aggregate(Sum("w", alias_name="w")))
 
-    rdir = ensure_ranks(pages_path)
-    n_nodes = json.loads(
-        (Path(rdir) / "_manifest.json").read_text())["n_nodes"] or 1
-    joined = scores.join(rd.read_parquet(rdir), join_type="left_outer",
-                         num_partitions=join_partitions(16), on=("url",))
 
-    def blend(b: pa.Table) -> pa.Table:
-        r = pc.fill_null(b["rank"].cast(pa.float64()),
-                         0.0).to_numpy(zero_copy_only=False)
-        score = b["w"].to_numpy() * (1.0 + damping_rank * n_nodes * r)
-        return pa.table({"url": b["url"], "score": pa.array(score)})
+def _topk(scored: "rd.Dataset | None", k: int, score: str = "score",
+          key: str = "url") -> pd.DataFrame:
+    """Top-k rows of a distributed plan by (``score`` desc, ``key``):
+    per-batch partial top-k, merged on the driver. A key given twice
+    keeps its best row."""
+    def partial(b: pa.Table) -> pa.Table:
+        return b.sort_by([(score, "descending"), (key, "ascending")]).slice(0, k)
 
-    scored = joined.map_batches(blend, batch_format="pyarrow")
+    parts = [] if scored is None else [t for t in ray.get(scored.map_batches(
+        partial, batch_format="pyarrow").materialize().to_arrow_refs())
+        if t.num_rows]
+    cand = (pa.concat_tables(parts).to_pandas() if parts else
+            pd.DataFrame({key: pd.Series([], dtype=object),
+                          score: pd.Series([], dtype=np.float64)}))
+    return (cand.sort_values([score, key], ascending=[False, True])
+                .drop_duplicates(key).head(k))
 
-    if per_site is None:
-        def partial_topk(b: pa.Table) -> pa.Table:
-            return b.sort_by([("score", "descending"),
-                              ("url", "ascending")]).slice(0, k)
 
-        parts = [t for t in ray.get(scored.map_batches(
-            partial_topk, batch_format="pyarrow").materialize().to_arrow_refs())
-            if t.num_rows]
-        if not parts:
-            return _empty()
-        cand = pa.concat_tables(parts).to_pandas()
-        cand = cand.sort_values(["score", "url"],
-                                ascending=[False, True]).head(k)
-        out = cand.rename(columns={})
-    else:
-        def add_host(b: pa.Table) -> pa.Table:
-            return b.append_column("host", pa.array(
-                [host_of(u) for u in b["url"].to_pylist()], pa.string()))
+def _ranked_empty(per_site: int | None) -> pa.Table:
+    cols = {"url": pa.array([], pa.string()),
+            "score": pa.array([], pa.float64()),
+            "excerpt": pa.array([], pa.string())}
+    if per_site is not None:
+        cols = {"host": pa.array([], pa.string()), **cols}
+    return pa.table(cols)
 
-        def cap_group(g: "pd.DataFrame") -> "pd.DataFrame":
-            g = g.sort_values(["score", "url"],
-                              ascending=[False, True]).head(per_site)
-            g["best"] = g["score"].max()
-            return g
 
-        import pandas as pd
-
-        capped = (scored.map_batches(add_host, batch_format="pyarrow")
-                        .groupby("host")
-                        .map_groups(cap_group, batch_format="pandas"))
-
-        def partial_host_topk(b: pa.Table) -> pa.Table:
-            # rows whose host ranks among this batch's top-k hosts by
-            # (best desc, host asc) — a global winner always survives
-            # its own batch's cut (map_groups keeps whole host groups)
-            df = b.to_pandas()
-            hosts = (df[["host", "best"]].drop_duplicates()
-                     .sort_values(["best", "host"], ascending=[False, True])
-                     .head(k)["host"])
-            return pa.Table.from_pandas(df[df["host"].isin(set(hosts))],
-                                        preserve_index=False)
-
-        parts = [t for t in ray.get(capped.map_batches(
-            partial_host_topk, batch_format="pyarrow").materialize().to_arrow_refs())
-            if t.num_rows]
-        if not parts:
-            return _empty()
-        cand = pa.concat_tables(parts).to_pandas()
-        best = cand.groupby("host")["score"].max()
-        order = sorted(best.index, key=lambda h: (-best[h], h))
-        pos = {h: i for i, h in enumerate(order)}
-        cand["h_pos"] = cand["host"].map(pos)
-        out = cand.sort_values(["h_pos", "score", "url"],
-                               ascending=[True, False, True]).head(k)
-
+def _ranked_result(store_dir: str, terms: tuple[str, ...], out: pd.DataFrame,
+                   excerpt_width: int, per_site: int | None) -> pa.Table:
+    """The result rows of ranked_crawl_search: rounded scores and a
+    stored-copy excerpt sliced for the result urls alone."""
+    if not len(out):
+        return _ranked_empty(per_site)
     ex = excerpts(store_dir, terms, width=excerpt_width,
-                  urls=tuple(out["url"]))
+                  urls=tuple(out["url"]))   # slice k results, not the store
     ex_of: dict[str, str] = {}
     for u, e in zip(ex["url"].to_pylist(), ex["excerpt"].to_pylist()):
-        ex_of.setdefault(u, e)
+        ex_of.setdefault(u, e)            # first (term-alphabetical) excerpt
     cols = {
         "url": pa.array(out["url"].tolist(), pa.string()),
         "score": pa.array(np.round(out["score"].to_numpy(), 4)),
@@ -645,6 +651,79 @@ def _ranked_crawl_distributed(store: "rd.Dataset", store_dir: str,
     return pa.table(cols)
 
 
+def _ranked_crawl_distributed(idx: str, store_dir: str, rdir: str,
+                              n_nodes: int, leaf: tuple[str, ...],
+                              terms: tuple[str, ...], ast, n_docs: int,
+                              k: int, damping_rank: float,
+                              excerpt_width: int,
+                              per_site: int | None) -> pa.Table:
+    """The scale plan of ranked_crawl_search: admissibility, scoring
+    aggregation, the rank lookup, per-host capping and top-k selection
+    all run as Ray groupby/map_batches; the driver receives only
+    per-batch partial top-k candidates (O(k x blocks) rows) and slices
+    excerpts for the final result urls alone. Urls and ranks come from
+    one worker-built _doc_table that each batch probes by doc_seq, so no
+    shuffle join runs. Semantics identical to the driver plan
+    (test_round3 proves both plans equal on the same store)."""
+    from aspseek_ray.functions.url import host_of
+
+    scores = _body_weights_ds(idx, leaf, terms, ast, n_docs)
+    if scores is None:
+        return _ranked_empty(per_site)
+    docs = _doc_table_task.remote(idx, None, rdir)
+
+    def blend(b: pa.Table) -> pa.Table:
+        t = ray.get(docs)
+        pos = np.searchsorted(t["doc_seq"].to_numpy(), b["doc_seq"].to_numpy())
+        r = t["rank"].to_numpy()[pos]
+        score = b["w"].to_numpy() * (1.0 + damping_rank * n_nodes * r)
+        return pa.table({"url": t["url"].take(pos), "score": pa.array(score)})
+
+    scored = scores.map_batches(blend, batch_format="pyarrow")
+    if per_site is None:
+        return _ranked_result(store_dir, terms, _topk(scored, k),
+                              excerpt_width, per_site)
+
+    def add_host(b: pa.Table) -> pa.Table:
+        return b.append_column("host", pa.array(
+            [host_of(u) for u in b["url"].to_pylist()], pa.string()))
+
+    def cap_group(g: "pd.DataFrame") -> "pd.DataFrame":
+        g = g.sort_values(["score", "url"],
+                          ascending=[False, True]).head(per_site)
+        g["best"] = g["score"].max()
+        return g
+
+    capped = (scored.map_batches(add_host, batch_format="pyarrow")
+                    .groupby("host")
+                    .map_groups(cap_group, batch_format="pandas"))
+
+    def partial_host_topk(b: pa.Table) -> pa.Table:
+        # rows whose host ranks among this batch's top-k hosts by
+        # (best desc, host asc) — a global winner always survives
+        # its own batch's cut (map_groups keeps whole host groups)
+        df = b.to_pandas()
+        hosts = (df[["host", "best"]].drop_duplicates()
+                 .sort_values(["best", "host"], ascending=[False, True])
+                 .head(k)["host"])
+        return pa.Table.from_pandas(df[df["host"].isin(set(hosts))],
+                                    preserve_index=False)
+
+    parts = [t for t in ray.get(capped.map_batches(
+        partial_host_topk, batch_format="pyarrow").materialize().to_arrow_refs())
+        if t.num_rows]
+    if not parts:
+        return _ranked_empty(per_site)
+    cand = pa.concat_tables(parts).to_pandas()
+    best = cand.groupby("host")["score"].max()
+    order = sorted(best.index, key=lambda h: (-best[h], h))
+    pos = {h: i for i, h in enumerate(order)}
+    cand["h_pos"] = cand["host"].map(pos)
+    out = cand.sort_values(["h_pos", "score", "url"],
+                           ascending=[True, False, True]).head(k)
+    return _ranked_result(store_dir, terms, out, excerpt_width, per_site)
+
+
 def ranked_crawl_search(store_dir: str, pages_path: str,
                         terms: tuple[str, ...] = (), k: int = 10,
                         damping_rank: float = 1.0,
@@ -654,10 +733,14 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
                         driver_max_docs: int = 100_000) -> pa.Table:
     """End-to-end searchd lifecycle over the CRAWL's own products
     (SURVEY §3.2: postings fetch -> boolean merge -> score = term weight x
-    popularity rank -> excerpts from stored copies): builds postings from
-    the crawl store (url-keyed docs), scores docs containing ANY query
-    term by  sum_t tf*ln(N/df)  times  (1 + damping_rank * n * pagerank),
-    and attaches a stored-copy excerpt for the best term. The pagerank
+    popularity rank -> excerpts from stored copies). It reads the store
+    index (_ensure_store_index: the store's postings, keyed by
+    fnv1a64(url), built once per store by the first query that needs
+    it), never the stored text: only the query terms' bucket partitions
+    are fetched. Docs containing ANY query term are scored by
+    sum_t tf*ln(N/df) (tf = |positions|, N = stored pages, df over the
+    admissible docs) times (1 + damping_rank * n * pagerank), and a
+    stored-copy excerpt for the best term is attached. The pagerank
     factor is the reference's popularity blend (src/results.cpp role —
     exact formula unpublished, pinned here); the ranks come from
     ensure_ranks, computed once per pages table. Output
@@ -670,60 +753,46 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
     a leading ``host`` column.
 
     ``query``: a qparser query string (the full s.cgi lifecycle: qparser
-    -> boolean admissibility -> rank -> excerpts). Docs must satisfy the
-    parsed boolean/phrase expression; scoring and excerpts use its
+    -> wildcard expansion against the store index vocabulary -> boolean
+    admissibility over postings -> rank -> excerpts). Docs must satisfy
+    the parsed boolean/phrase expression; scoring and excerpts use its
     POSITIVE terms (negations only exclude). Overrides ``terms``.
 
     Two physical plans behind a size switch (the pagerank pattern,
-    validated equal by test_round3): at or below ``driver_max_docs`` the
-    result set is assembled on the driver (the searchd model — fine for
-    any human-facing query); above it, scoring, the rank join, per-host
-    capping and top-k all run distributed (Ray groupby/join + per-batch
-    partial top-k), the driver touches only O(k) rows, and excerpts are
-    sliced for the result urls alone."""
-    import pyarrow.parquet as pq
-
+    validated equal by test_round3): at or below ``driver_max_docs``
+    stored pages the result set is assembled on the driver (the searchd
+    model — fine for any human-facing query); above it, admissibility,
+    scoring, the rank lookup, per-host capping and top-k all run
+    distributed (Ray groupby + per-batch partial top-k), the driver
+    touches only O(k) rows, and excerpts are sliced for the result urls
+    alone."""
     from aspseek_ray.pipelines.index_products import ensure_ranks
+    from aspseek_ray.pipelines.qparser import (
+        expand_prefixes, leaf_terms, parse_query, positive_terms)
 
-    ast = None
-    if query is not None:
-        from aspseek_ray.pipelines.qparser import (
-            parse_query, positive_terms)
-
-        ast = parse_query(query)
-        terms = tuple(sorted(positive_terms(ast)))
-
-    store = rd.read_parquet(store_dir, columns=["url", "text"])
-    n_docs = store.count()
+    ast = parse_query(query) if query is not None else None
+    idx = _ensure_store_index(store_dir)
+    n_docs = _index_manifest(idx)["n_docs"]
     if n_docs == 0:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "score": pa.array([], pa.float64()),
-                         "excerpt": pa.array([], pa.string())})
-    term_set = frozenset(terms)
+        return _ranked_empty(per_site)
+    if ast is not None:
+        ast = expand_prefixes(ast, lambda p: _prefix_words(idx, p),
+                              lambda p: _suffix_words(idx, p))
+        terms = tuple(sorted(positive_terms(ast)))
+    terms = tuple(sorted(set(terms)))
+    leaf = tuple(sorted(leaf_terms(ast))) if ast is not None else terms
+    rdir = ensure_ranks(pages_path)
+    n_nodes = json.loads(
+        (Path(rdir) / "_manifest.json").read_text())["n_nodes"] or 1
     if n_docs > driver_max_docs:
         return _ranked_crawl_distributed(
-            store, store_dir, pages_path, terms, ast, n_docs, k,
+            idx, store_dir, rdir, n_nodes, leaf, terms, ast, n_docs, k,
             damping_rank, excerpt_width, per_site)
 
-    tf = store.map_batches(_tf_rows_fn(term_set, ast),
-                           batch_format="pyarrow")
-    parts = [t for t in ray.get(tf.materialize().to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "score": pa.array([], pa.float64()),
-                         "excerpt": pa.array([], pa.string())})
-    tft = pa.concat_tables(parts).combine_chunks()
-    df_pdf = tft.to_pandas()
-    df_of = df_pdf.groupby("term")["url"].nunique()
-    idf = {t: math.log(n_docs / d) for t, d in df_of.items()}
-    df_pdf["w"] = df_pdf["tf"] * df_pdf["term"].map(idf)
-    scores = df_pdf.groupby("url", as_index=False)["w"].sum()
-
-    ranks = pq.read_table(ensure_ranks(pages_path)).to_pandas()
-    rank_of = dict(zip(ranks["url"], ranks["rank"]))
-    n = len(rank_of) or 1
-    scores["score"] = scores["w"] * (
-        1.0 + damping_rank * n * scores["url"].map(rank_of).fillna(0.0))
+    w = _body_weights(idx, leaf, terms, ast, n_docs)
+    scores = _doc_table(idx, w.index, rdir).to_pandas()
+    scores["score"] = scores["doc_seq"].map(w) * (
+        1.0 + damping_rank * n_nodes * scores["rank"])
 
     if per_site is not None:
         from aspseek_ray.functions.url import host_of
@@ -740,21 +809,7 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
     else:
         scores = scores.sort_values(["score", "url"],
                                     ascending=[False, True]).head(k)
-
-    ex = excerpts(store_dir, terms, width=excerpt_width,
-                  urls=tuple(scores["url"]))   # slice k results, not the store
-    ex_of: dict[str, str] = {}
-    for u, e in zip(ex["url"].to_pylist(), ex["excerpt"].to_pylist()):
-        ex_of.setdefault(u, e)            # first (term-alphabetical) excerpt
-    cols = {
-        "url": pa.array(scores["url"].tolist(), pa.string()),
-        "score": pa.array(np.round(scores["score"].to_numpy(), 4)),
-        "excerpt": pa.array([ex_of.get(u, "") for u in scores["url"]],
-                            pa.string()),
-    }
-    if per_site is not None:
-        cols = {"host": pa.array(scores["host"].tolist(), pa.string()), **cols}
-    return pa.table(cols)
+    return _ranked_result(store_dir, terms, scores, excerpt_width, per_site)
 
 
 class QueryCache:
@@ -914,59 +969,19 @@ def tfidf_search(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
     one tiny groupby(word) count, idf broadcast in the closure, per-doc
     sums via groupby(doc_seq), per-batch partial top-k) and the driver
     receives only O(k x blocks) candidate rows."""
-    ds, n_docs = _term_postings_ds(sf_dir, tuple(set(terms)))
-    empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                      "score": pa.array([], pa.float64())})
-    if ds is None:
-        return empty
-    if ds.count() > driver_max_posting_rows:
-        from ray.data.aggregate import Count, Sum
-
-        dfp = ds.groupby("word").aggregate(Count(alias_name="df")).to_pandas()
-        if not len(dfp):
-            return empty
-        idf = {w: math.log(n_docs / d)
-               for w, d in zip(dfp["word"], dfp["df"])}
-
-        def weigh(b: pa.Table) -> pa.Table:
-            tf = pc.list_value_length(b["positions"]).to_numpy(
-                zero_copy_only=False).astype(np.float64)
-            w = tf * np.array([idf[t] for t in b["word"].to_pylist()])
-            return pa.table({"doc_seq": b["doc_seq"], "w": pa.array(w)})
-
-        scores = (ds.map_batches(weigh, batch_format="pyarrow")
-                    .groupby("doc_seq").aggregate(Sum("w", alias_name="w")))
-
-        def partial_topk(b: pa.Table) -> pa.Table:
-            return b.sort_by([("w", "descending"),
-                              ("doc_seq", "ascending")]).slice(0, k)
-
-        parts = [t for t in ray.get(scores.map_batches(
-            partial_topk, batch_format="pyarrow").materialize().to_arrow_refs())
-            if t.num_rows]
-        if not parts:
-            return empty
-        cand = pa.concat_tables(parts).to_pandas()
-        cand = cand.sort_values(["w", "doc_seq"],
-                                ascending=[False, True]).head(k)
-        return pa.table({"doc_id": pa.array(cand["doc_seq"].to_numpy(),
-                                            pa.int64()),
-                         "score": pa.array(np.round(cand["w"].to_numpy(),
-                                                    4))})
-    post = _term_postings(sf_dir, tuple(set(terms)))[0]
-    if post.num_rows == 0:
-        return empty
-    df_pdf = post.select(["word", "doc_seq"]).to_pandas()
-    tf = pc.list_value_length(post["positions"]).to_numpy(zero_copy_only=False)
-    df_pdf["tf"] = tf.astype(np.int64)
-    df_of = df_pdf.groupby("word")["doc_seq"].count()
-    idf = {w: math.log(n_docs / d) for w, d in df_of.items()}
-    df_pdf["w"] = df_pdf["tf"] * df_pdf["word"].map(idf)
-    scores = df_pdf.groupby("doc_seq", as_index=False)["w"].sum()
-    scores = scores.sort_values(["w", "doc_seq"],
-                                ascending=[False, True]).head(k)
-    return pa.table({"doc_id": pa.array(scores["doc_seq"].to_numpy(), pa.int64()),
-                     "score": pa.array(np.round(scores["w"].to_numpy(), 4))})
+    pdir = _ensure_doc_postings(sf_dir)
+    n_docs = _index_manifest(pdir)["n_docs"]
+    terms = tuple(sorted(set(terms)))
+    ds = _term_postings_ds(pdir, terms)
+    if ds is not None and ds.count() > driver_max_posting_rows:
+        scores = _body_weights_ds(pdir, terms, terms, None, n_docs)
+        top = _topk(scores, k, "w", "doc_seq")
+    else:
+        top = (_body_weights(pdir, terms, terms, None, n_docs).reset_index()
+               .sort_values(["w", "doc_seq"], ascending=[False, True]).head(k))
+    return pa.table({"doc_id": pa.array(top["doc_seq"].to_numpy(), pa.int64()),
+                     "score": pa.array(np.round(top["w"].to_numpy(np.float64),
+                                                4))})
 
 
 def bm25_search(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
@@ -987,16 +1002,17 @@ def bm25_search(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
     tfidf_search: driver pandas below the posting-row switch, distributed
     (df groupby + per-batch partial top-k) above it; deterministic
     tiebreak doc_id asc."""
-    pdir, n_docs = _ensure_doc_postings(sf_dir)
+    pdir = _ensure_doc_postings(sf_dir)
     man = _index_manifest(pdir)
+    n_docs = man["n_docs"]
     avgdl = (man.get("total_tokens", 0) / n_docs) if n_docs else 0.0
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "score": pa.array([], pa.float64())})
     if not avgdl:
         return empty
-    ds, _ = _term_postings_ds(sf_dir, tuple(set(terms)),
-                              columns=("word", "doc_seq", "positions",
-                                       "doclen"))
+    ds = _term_postings_ds(pdir, tuple(set(terms)),
+                           columns=("word", "doc_seq", "positions",
+                                    "doclen"))
     if ds is None:
         return empty
 
@@ -1089,7 +1105,7 @@ def near_search(sf_dir: str, w1: str = "scan", w2: str = "slow",
         return bool(np.any(hi > lo))
 
     empty = pa.table({"doc_id": pa.array([], pa.int64())})
-    ds, _ = _term_postings_ds(sf_dir, words)
+    ds = _term_postings_ds(_ensure_doc_postings(sf_dir), words)
     if ds is None:
         return empty
     if ds.count() > driver_max_posting_rows:
@@ -1106,7 +1122,7 @@ def near_search(sf_dir: str, w1: str = "scan", w2: str = "slow",
         return pa.table({"doc_id": pa.array(
             np.sort(hits["doc_id"].to_numpy()), pa.int64())})
 
-    post, _ = _term_postings(sf_dir, words)
+    post = _collect(ds)
     pos_of: dict[int, dict[str, np.ndarray]] = {}
     for w, d, ps in zip(post["word"].to_pylist(), post["doc_seq"].to_pylist(),
                         post["positions"].to_pylist()):
@@ -1179,8 +1195,7 @@ def spell_suggest(sf_dir: str, term: str) -> pa.Table:
     ONLY those keys' hash partitions with a key-pruned row filter, and
     verifies the (tiny) candidate set exactly. Output (word, df) by
     (df desc, word asc)."""
-    pdir, _ = _ensure_doc_postings(sf_dir)
-    kdir = _ensure_del_keys(pdir)
+    kdir = _ensure_del_keys(_ensure_doc_postings(sf_dir))
     qkeys = sorted({term} | {term[:i] + term[i + 1:]
                              for i in range(len(term))})
     buckets = sorted({int(np.abs(fnv1a64(kk)) % NUM_WORD_BUCKETS)
@@ -1211,169 +1226,78 @@ def anchor_boosted_search(store_dir: str, pages_path: str,
                           alpha: float = 0.5,
                           driver_max_docs: int = 100_000) -> pa.Table:
     """Ranked search with the reference's LINK-WORD boost: score(url) =
-    body tf-idf (sum_t tf*ln(N/df) over the stored copies, the
+    body tf-idf (sum_t tf*ln(N/df) over the stored pages, the
     crawl_ranked_tfidf scoring) + ``alpha`` x anchor hits, where anchor
     hits = sum over query terms of n_refs(word, url) from the anchor-text
     index (how many distinct pages link to ``url`` with the term in their
     anchor). A stored url referenced only by anchors still ranks — the
     reference indexes link words against targets it never parsed.
 
-    Scale shape: the anchor side reads ONLY the query terms' partitions
-    of the cached word-bucketed anchor index (query-sized); the body side
-    is df-bounded (docs containing >= 1 term). Dual plans: driver pandas
-    under ``driver_max_docs`` store rows; above it body scoring runs
-    distributed (tf rows -> groupby(url).sum), the query-sized anchor map
-    rides a closure, blending happens before any top-k, and the driver
-    sees O(k x blocks) candidate rows. Output (url, score) top-k by
-    (score desc, url)."""
-    import pyarrow.dataset as pads
+    Scale shape: both sides read ONLY the query terms' partitions — the
+    body side from the store index that ranked_crawl_search reads
+    (_ensure_store_index), the anchor side from the cached word-bucketed
+    anchor index. Dual plans: driver pandas under ``driver_max_docs``
+    stored pages; above it body scoring runs distributed (tf rows ->
+    groupby(doc_seq).sum), the query-sized anchor map rides a closure,
+    blending happens before any top-k, and the driver sees O(k x blocks)
+    candidate rows. Output (url, score) top-k by (score desc, url)."""
+    from aspseek_ray.pipelines.index_products import ensure_anchor_index
 
-    from aspseek_ray.pipelines.index_products import (
-        NUM_WORD_BUCKETS as ANCHOR_BUCKETS, ensure_anchor_index)
-
-    term_set = frozenset(terms)
+    terms = tuple(sorted(set(terms)))
     empty = pa.table({"url": pa.array([], pa.string()),
                       "score": pa.array([], pa.float64())})
-    store = rd.read_parquet(store_dir, columns=["url", "text"])
-    n_docs = store.count()
-    if n_docs == 0 or not terms:
+    if not terms:
+        return empty
+    idx = _ensure_store_index(store_dir)
+    n_docs = _index_manifest(idx)["n_docs"]
+    if n_docs == 0:
         return empty
 
-    # --- anchor hits for the query terms (pruned partition read) --------
-    adir = ensure_anchor_index(pages_path)
-    buckets = sorted({int(np.abs(fnv1a64(w)) % ANCHOR_BUCKETS)
-                      for w in term_set})
-    apaths = []
-    for b in buckets:
-        d = Path(adir) / f"word_bucket={b}"
-        if d.exists():
-            apaths.extend(sorted(str(f) for f in d.glob("*.parquet")))
-    hits: dict[str, float] = {}
-    if apaths:
-        at = (rd.read_parquet(apaths, columns=["url", "n_refs"],
-                              filter=pc.field("word").isin(list(term_set)))
-              .to_pandas())
-        if len(at):
-            hits = at.groupby("url")["n_refs"].sum().astype(float).to_dict()
-
-    tf = store.map_batches(_tf_rows_fn(term_set, None),
-                           batch_format="pyarrow")
+    # anchor hits for the query terms: the anchor index is word-bucketed
+    # like the postings, so the same pruned partition read serves it
+    ads = _term_postings_ds(ensure_anchor_index(pages_path), terms,
+                            columns=("url", "n_refs"))
+    at = ads.to_pandas() if ads is not None else pd.DataFrame()
+    hits: dict[str, float] = (
+        at.groupby("url")["n_refs"].sum().astype(float).to_dict()
+        if len(at) else {})
+    # the stored anchor-hit docs: they rank even without a body score
+    hit_docs = _doc_table(idx, fnv1a64_arrow(pa.array(list(hits), pa.string())))
 
     if n_docs > driver_max_docs:
-        from ray.data.aggregate import Count, Sum
-
-        # tf rows are one per (url, term), so a plain count is the df
-        dfp = tf.groupby("term").aggregate(Count(alias_name="df")).to_pandas()
-        idf = ({t: math.log(n_docs / d)
-                for t, d in zip(dfp["term"], dfp["df"]) if d}
-               if len(dfp) else {})
-
-        def weigh(b: pa.Table) -> pa.Table:
-            w = (b["tf"].to_numpy().astype(np.float64)
-                 * np.array([idf.get(t, 0.0) for t in b["term"].to_pylist()]))
-            return pa.table({"url": b["url"], "w": pa.array(w)})
-
-        body = (tf.map_batches(weigh, batch_format="pyarrow")
-                  .groupby("url").aggregate(Sum("w", alias_name="w")))
-
+        body = _body_weights_ds(idx, terms, terms, None, n_docs)
+        rows = rd.from_arrow(pa.table({
+            "doc_seq": hit_docs["doc_seq"],
+            "w": pa.array(np.zeros(hit_docs.num_rows))}))
+        if body is not None:
+            rows = body.union(rows)
+        docs = _doc_table_task.remote(idx)
         hits_ref = ray.put(hits)
-        seen_urls: set[str] = set()
 
         def blend(b: pa.Table) -> pa.Table:
-            h = ray.get(hits_ref)
-            urls = b["url"].to_pylist()
+            t, h = ray.get(docs), ray.get(hits_ref)
+            pos = np.searchsorted(t["doc_seq"].to_numpy(),
+                                  b["doc_seq"].to_numpy())
+            urls = t["url"].take(pos)
             s = (b["w"].to_numpy(zero_copy_only=False).astype(np.float64)
-                 + alpha * np.array([h.get(u, 0.0) for u in urls]))
-            return pa.table({"url": b["url"], "score": pa.array(s)})
+                 + alpha * np.array([h.get(u, 0.0) for u in urls.to_pylist()]))
+            return pa.table({"url": urls, "score": pa.array(s)})
 
-        def partial_topk(b: pa.Table) -> pa.Table:
-            return b.sort_by([("score", "descending"),
-                              ("url", "ascending")]).slice(0, k)
-
-        body = body.materialize()
-        parts = [t for t in ray.get(
-            body.map_batches(blend, batch_format="pyarrow")
-                .map_batches(partial_topk, batch_format="pyarrow")
-                .materialize().to_arrow_refs()) if t.num_rows]
-        cand = (pa.concat_tables(parts).to_pandas() if parts
-                else pd.DataFrame({"url": [], "score": []}))
-        # which anchor-hit urls already have a body score: probe the body
-        # Dataset with the QUERY-SIZED hit set (never collect all of body)
-        scored_urls: set[str] = set()
-        if hits:
-            hset = pa.array(list(hits), pa.string())
-
-            def probe(b: pa.Table) -> pa.Table:
-                return b.filter(pc.is_in(b["url"],
-                                         value_set=hset)).select(["url"])
-
-            for t in ray.get(body.map_batches(
-                    probe, batch_format="pyarrow")
-                    .materialize().to_arrow_refs()):
-                if t.num_rows:       # empty blocks can lose their schema
-                    scored_urls.update(t["url"].to_pylist())
-        # anchor-only candidates: in the store, hits > 0, no body score
-        aonly = sorted(set(hits) - scored_urls)
-        if aonly:
-            aset = frozenset(aonly)
-
-            def member(b: pa.Table) -> pa.Table:
-                keep = pc.is_in(b["url"],
-                                value_set=pa.array(list(aset), pa.string()))
-                return b.filter(keep).select(["url"])
-
-            stored_aonly = {u for t in ray.get(
-                store.map_batches(member, batch_format="pyarrow")
-                     .materialize().to_arrow_refs())
-                if t.num_rows for u in t["url"].to_pylist()}
-            if stored_aonly:
-                extra = pd.DataFrame({
-                    "url": sorted(stored_aonly),
-                    "score": [alpha * hits[u] for u in sorted(stored_aonly)]})
-                cand = pd.concat([cand, extra], ignore_index=True)
-        if not len(cand):
-            return empty
-        cand = cand.sort_values(["score", "url"],
-                                ascending=[False, True]).head(k)
-        return pa.table({"url": pa.array(cand["url"].tolist(), pa.string()),
-                         "score": pa.array(np.round(
-                             cand["score"].to_numpy(), 4))})
-
-    # --- driver plan -----------------------------------------------------
-    parts = [t for t in ray.get(tf.materialize().to_arrow_refs())
-             if t.num_rows]
-    body_pdf = (pa.concat_tables(parts).to_pandas() if parts
-                else pd.DataFrame({"url": [], "term": [], "tf": []}))
-    scores: dict[str, float] = {}
-    if len(body_pdf):
-        df_of = body_pdf.groupby("term")["url"].nunique()
-        idf = {t: math.log(n_docs / d) for t, d in df_of.items()}
-        body_pdf["w"] = body_pdf["tf"] * body_pdf["term"].map(idf)
-        scores = body_pdf.groupby("url")["w"].sum().to_dict()
-    aonly = set(hits) - set(scores)
-    if aonly:
-        stored = set()
-        aset = frozenset(aonly)
-
-        def member(b: pa.Table) -> pa.Table:
-            keep = pc.is_in(b["url"],
-                            value_set=pa.array(list(aset), pa.string()))
-            return b.filter(keep).select(["url"])
-
-        for t in ray.get(store.map_batches(member, batch_format="pyarrow")
-                         .materialize().to_arrow_refs()):
-            if t.num_rows:           # empty blocks can lose their schema
-                stored.update(t["url"].to_pylist())
-        for u in stored:
-            scores[u] = 0.0
-    for u in list(scores):
-        scores[u] += alpha * hits.get(u, 0.0)
-    if not scores:
+        out = _topk(rows.map_batches(blend, batch_format="pyarrow"), k)
+    else:
+        w = _body_weights(idx, terms, terms, None, n_docs)
+        docs = _doc_table(idx, set(w.index) | set(hit_docs["doc_seq"].to_pylist()))
+        out = pd.DataFrame({"url": docs["url"].to_pylist(), "score": [
+            float(w.get(s, 0.0)) + alpha * hits.get(u, 0.0)
+            for s, u in zip(docs["doc_seq"].to_pylist(),
+                            docs["url"].to_pylist())]})
+        out = out.sort_values(["score", "url"],
+                              ascending=[False, True]).head(k)
+    if not len(out):
         return empty
-    out = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return pa.table({"url": pa.array([u for u, _ in out], pa.string()),
+    return pa.table({"url": pa.array(out["url"].tolist(), pa.string()),
                      "score": pa.array(np.round(
-                         np.array([s for _, s in out]), 4))})
+                         out["score"].to_numpy(np.float64), 4))})
 
 
 # ---------------------------------------------------------- similar docs
@@ -1438,7 +1362,8 @@ def similar_docs(sf_dir: str, doc_id: int = 0, k: int = 10) -> pa.Table:
     isin pushdown (built once per index, fully distributed, df computed
     word-bucket-locally). Output (doc_id, score desc, doc_id asc), seed
     excluded, zero-norm candidates dropped."""
-    pdir, n_docs = _ensure_doc_postings(sf_dir)
+    pdir = _ensure_doc_postings(sf_dir)
+    n_docs = _index_manifest(pdir)["n_docs"]
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
                       "score": pa.array([], pa.float64())})
     if not n_docs:
@@ -1452,7 +1377,7 @@ def similar_docs(sf_dir: str, doc_id: int = 0, k: int = 10) -> pa.Table:
     q_tf = {w: len(p) for w, p in zip(seed["word"], seed["positions"])}
     terms = tuple(sorted(q_tf))
 
-    post, _ = _term_postings(sf_dir, terms)
+    post = _term_postings(pdir, terms)
     if post.num_rows == 0:
         return empty
     pdf = post.select(["word", "doc_seq"]).to_pandas()
@@ -1513,34 +1438,34 @@ def prefix_search(sf_dir: str, prefix: str = "sca",
     this a range read; the hash layout is kept because every OTHER query
     class prunes by hash). The expanded word set then runs as a normal
     boolean OR over the pruned posting partitions."""
-    words = _prefix_words(sf_dir, prefix)
-    if not words:
-        return pa.table({"doc_id": pa.array([], pa.int64())})
-    return boolean_or_search(sf_dir, words,
-                             driver_max_posting_rows=driver_max_posting_rows)
+    from aspseek_ray.pipelines.qparser import Prefix, expand_prefixes
+
+    pdir = _ensure_doc_postings(sf_dir)
+    ast = expand_prefixes(Prefix(prefix), lambda p: _prefix_words(pdir, p))
+    return _ast_plan(pdir, ast, driver_max_posting_rows)
 
 
-def _suffix_words(sf_dir: str, suffix: str) -> tuple[str, ...]:
-    """Vocabulary words ENDING with ``suffix`` — the symmetric expansion
-    for leading-star wildcards (*word), same sidecar scan as
-    _prefix_words with an ends_with pushdown."""
-    return _vocab_scan(sf_dir, pc.ends_with(pc.field("word"), suffix)
+def _suffix_words(pdir: str, suffix: str) -> tuple[str, ...]:
+    """Vocabulary words of the index ``pdir`` ENDING with ``suffix`` —
+    the symmetric expansion for leading-star wildcards (*word), same
+    sidecar scan as _prefix_words with an ends_with pushdown."""
+    return _vocab_scan(pdir, pc.ends_with(pc.field("word"), suffix)
                        ) if suffix else ()
 
 
-def _prefix_words(sf_dir: str, prefix: str) -> tuple[str, ...]:
-    """Vocabulary words starting with ``prefix`` (sorted) — the wildcard
-    expansion pass shared by prefix_search and the qparser's Prefix
-    nodes. Pushed-down starts_with scan over the del_keys sidecar's
-    exact-word rows (delkey == word <=> one row per distinct word).
-    Collected as arrow refs, not to_pandas: empty filtered blocks lose
-    their schema and a column-less pandas frame comes back."""
-    return _vocab_scan(sf_dir, pc.starts_with(pc.field("word"), prefix)
+def _prefix_words(pdir: str, prefix: str) -> tuple[str, ...]:
+    """Vocabulary words of the index ``pdir`` starting with ``prefix``
+    (sorted) — the wildcard expansion pass shared by prefix_search and
+    the qparser's Prefix nodes. Pushed-down starts_with scan over the
+    del_keys sidecar's exact-word rows (delkey == word <=> one row per
+    distinct word). Collected as arrow refs, not to_pandas: empty
+    filtered blocks lose their schema and a column-less pandas frame
+    comes back."""
+    return _vocab_scan(pdir, pc.starts_with(pc.field("word"), prefix)
                        ) if prefix else ()
 
 
-def _vocab_scan(sf_dir: str, word_filter) -> tuple[str, ...]:
-    pdir, _ = _ensure_doc_postings(sf_dir)
+def _vocab_scan(pdir: str, word_filter) -> tuple[str, ...]:
     kdir = _ensure_del_keys(pdir)
     files = sorted(str(f)
                    for f in Path(kdir).glob("delkey_bucket=*/*.parquet"))

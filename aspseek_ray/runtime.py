@@ -25,7 +25,8 @@ import ray
 
 @ray.remote
 def _worker_unique_i64(refs: list, column: str) -> np.ndarray:
-    blocks = [b for b in ray.get(list(refs)) if b.num_rows]
+    # len(), not num_rows: an empty block may come back as pandas
+    blocks = [b for b in ray.get(list(refs)) if len(b)]
     if not blocks:
         return np.empty(0, np.int64)
     return np.unique(

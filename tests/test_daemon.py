@@ -81,6 +81,29 @@ def test_search_over_socket_matches_pipeline(crawl_products, searchd):
     assert all(r["host"] == "" for r in got["results"])   # ungrouped
 
 
+def test_wildcard_over_socket_matches_pipeline(crawl_products, searchd):
+    """Bare wildcards expand against the store index vocabulary (foo,
+    bar): the socket answer equals the pipeline's answer to the hand
+    expansion."""
+    from aspseek_ray.daemon import SearchdClient
+    from aspseek_ray.pipelines.search import ranked_crawl_search
+
+    store, pages, _, _ = crawl_products
+    _, host, port = searchd
+    for q, manual in [("fo*", "foo"), ("*oo", "foo"),
+                      ("foo -ba*", "foo -bar")]:
+        want = ranked_crawl_search(store, pages, k=100, query=manual)
+        assert want.num_rows > 0
+        with SearchdClient(host, port) as c:
+            got = c.search(q, page=0, page_size=10)
+        assert got["total"] == want.num_rows
+        assert [r["url"] for r in got["results"]] == want["url"].to_pylist()
+        assert [r["score"] for r in got["results"]] == pytest.approx(
+            want["score"].to_pylist())
+        assert [r["excerpt"] for r in got["results"]] == \
+            want["excerpt"].to_pylist()
+
+
 def test_paging_slices_cached_set(searchd):
     from aspseek_ray.daemon import SearchdClient
 

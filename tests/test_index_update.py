@@ -152,3 +152,18 @@ def test_unstaged_and_staged_refresh_agree(ray_session, tmp_path):
     full = _merged_table(build_postings(str(tmp_path / "final.parquet")))
     assert ta.equals(tb)
     assert ta.equals(full)
+
+
+def test_build_postings_rejects_a_dir_without_parquet(ray_session, tmp_path):
+    """A directory holding no parquet file is bad input: build_postings
+    and update_postings_index name the path in a ValueError."""
+    import pytest
+
+    empty = tmp_path / "no_parts"
+    empty.mkdir()
+    with pytest.raises(ValueError, match=str(empty)):
+        build_postings(str(empty))
+    index = tmp_path / "index"
+    index.mkdir()
+    with pytest.raises(ValueError, match=str(empty)):
+        update_postings_index(str(index), str(empty))

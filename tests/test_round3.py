@@ -121,6 +121,113 @@ def test_ranked_search_plans_agree(ray_session, tmp_path):
         assert a.equals(b), (kwargs, a.to_pydict(), b.to_pydict())
 
 
+def test_ranked_search_plans_agree_on_a_small_store(ray_session, tmp_path):
+    """Both plans of ranked_crawl_search and anchor_boosted_search agree
+    on the 4-url store too, where most hash partitions of a shuffle get
+    no rows (the distributed plan used to fail in its rank join)."""
+    from aspseek_ray.pipelines.search import (anchor_boosted_search,
+                                              ranked_crawl_search)
+
+    store, pages = _mini_crawl_products(tmp_path)
+    cases = [dict(query="foo"), dict(query="foo", per_site=1),
+             dict(terms=("foo",)), dict(terms=("foo", "bar"), per_site=2),
+             dict(query='"foo foo" OR bar', per_site=1)]
+    for kwargs in cases:
+        a = ranked_crawl_search(store, pages, **kwargs)
+        b = ranked_crawl_search(store, pages, driver_max_docs=0, **kwargs)
+        assert a.num_rows > 0
+        assert a.equals(b), (kwargs, a.to_pydict(), b.to_pydict())
+    for kwargs in (dict(query="zzz"), dict(terms=("zzz",), per_site=1)):
+        a = ranked_crawl_search(store, pages, **kwargs)
+        b = ranked_crawl_search(store, pages, driver_max_docs=0, **kwargs)
+        assert a.num_rows == 0 and a.equals(b), (kwargs, a.schema, b.schema)
+    for terms in (("foo",), ("bar", "foo"), ("x",)):
+        a = anchor_boosted_search(store, pages, terms)
+        b = anchor_boosted_search(store, pages, terms, driver_max_docs=0)
+        assert a.num_rows > 0
+        assert a.equals(b), (terms, a.to_pydict(), b.to_pydict())
+
+
+def test_ranked_search_expands_wildcards(ray_session, tmp_path):
+    """A bare wildcard expands against the store index vocabulary (foo,
+    bar, baz, qux, slow) and ranks exactly like its hand expansion,
+    through both plans."""
+    from aspseek_ray.pipelines.search import ranked_crawl_search
+
+    store, pages = _multi_block_products(tmp_path)
+    cases = [("fo*", "foo"), ("*oo", "foo"),
+             ("foo -ba*", "foo -(bar OR baz)"),
+             ("ba* -*ow", "(bar OR baz) -slow")]
+    for q, manual in cases:
+        want = ranked_crawl_search(store, pages, query=manual, per_site=2)
+        assert want.num_rows > 0
+        for dmax in (100_000, 0):
+            got = ranked_crawl_search(store, pages, query=q, per_site=2,
+                                      driver_max_docs=dmax)
+            assert got.equals(want), (q, dmax, got.to_pydict())
+
+
+def test_ranked_search_over_zero_row_parts(ray_session, tmp_path):
+    """A store whose parts hold zero rows has nothing to rank: both
+    ranked_crawl_search and anchor_boosted_search return empty tables."""
+    from aspseek_ray.pipelines.search import (anchor_boosted_search,
+                                              ranked_crawl_search)
+
+    _, pages = _mini_crawl_products(tmp_path)
+    store = tmp_path / "empty_store"
+    (store / "round=0").mkdir(parents=True)
+    for b in range(2):
+        pq.write_table(pa.table({"url": pa.array([], pa.string()),
+                                 "text": pa.array([], pa.string())}),
+                       store / "round=0" / f"part-{b}.parquet")
+    for dmax in (100_000, 0):
+        out = ranked_crawl_search(str(store), pages, ("foo",),
+                                  driver_max_docs=dmax)
+        assert out.num_rows == 0
+        assert out.schema.names == ["url", "score", "excerpt"]
+        out = ranked_crawl_search(str(store), pages, query="fo*",
+                                  driver_max_docs=dmax)
+        assert out.num_rows == 0
+        out = anchor_boosted_search(str(store), pages, ("foo",),
+                                    driver_max_docs=dmax)
+        assert out.num_rows == 0
+        assert out.schema.names == ["url", "score"]
+
+
+def test_store_index_built_once_per_store(ray_session, tmp_path,
+                                          monkeypatch):
+    """The store index is built by the first query that needs it and
+    read by every later query of both plans and of anchor_boosted_search;
+    rewriting a store file in place builds it again."""
+    from aspseek_ray.pipelines import search
+
+    store, pages = _multi_block_products(tmp_path)
+    real = search._build_store_index
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_build_store_index", counted)
+    for dmax in (100_000, 0):
+        for kwargs in (dict(query="foo bar"), dict(query='"foo bar"'),
+                       dict(query="foo", per_site=2)):
+            assert search.ranked_crawl_search(
+                store, pages, driver_max_docs=dmax, **kwargs).num_rows
+        assert search.anchor_boosted_search(store, pages, ("foo",),
+                                            driver_max_docs=dmax).num_rows
+    assert len(calls) == 1
+
+    part = f"{store}/part-0.parquet"
+    t = pq.read_table(part)
+    texts = ["zebra"] * t.num_rows
+    pq.write_table(t.set_column(1, "text", pa.array(texts)), part)
+    out = search.ranked_crawl_search(store, pages, query="zebra", k=100)
+    assert len(calls) == 2
+    assert set(out["url"].to_pylist()) == set(t["url"].to_pylist())
+
+
 def _multi_block_products(tmp_path):
     """64 urls on 8 hosts in one link cycle, the store in 4 files (so 4
     blocks through the distributed plan), random texts over 5 words."""

@@ -41,11 +41,12 @@ def test_boolean_family_distributed_plan_equal(ray_session):
 ])
 def test_parsed_query_distributed_plan_equal(ray_session, q):
     from aspseek_ray.pipelines.qparser import parse_query
-    from aspseek_ray.pipelines.search import _ast_plan
+    from aspseek_ray.pipelines.search import _ast_plan, _ensure_doc_postings
 
     ast = parse_query(q)
-    _eq(_ast_plan(SF, ast, driver_max_posting_rows=10 ** 9),
-        _ast_plan(SF, ast, driver_max_posting_rows=0))
+    pdir = _ensure_doc_postings(SF)
+    _eq(_ast_plan(pdir, ast, driver_max_posting_rows=10 ** 9),
+        _ast_plan(pdir, ast, driver_max_posting_rows=0))
 
 
 def test_tfidf_distributed_plan_equal(ray_session):
