@@ -1,5 +1,5 @@
 """The flagship crawl pipeline (SURVEY.md §3.1 rebuild): a driver round
-loop where each frontier generation is one bounded Ray Data pipeline
+loop where each frontier generation is one Ray task per pages bucket
 
     pop (CrawlShard actors, politeness heaps)            — O16/T1/T2/T3
       -> stamp dense fetch_seq (host-lex, pop order)     — trace contract
@@ -15,26 +15,27 @@ Scale notes (SURVEY §4): the per-round driver work is O(S + B) — shards
 are LEX-RANGE partitioned by host (state/shard.py::shard_of_hosts), so the
 global (host-lex, pop-order) trace order equals (shard_id, shard-local
 order) and the dense fetch_seq is stamped shard-locally from S
-prefix-summed counts; shards emit bucket-tagged blocks straight into the
-object store and tiny remote concat tasks assemble one block per pages
-bucket. No scheduled row ever passes through the driver. The pages table
-(the 100-TB side) is shuffled exactly once at ingest (bucket_pages) and
-never moves again.
+prefix-summed counts; shards emit bucket-tagged pieces straight into the
+object store and each bucket's task receives its pieces as refs. No
+scheduled row ever passes through the driver, which gets back B counter
+dicts. The pages table (the 100-TB side) is shuffled exactly once at
+ingest (bucket_pages) and never moves again.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
+from ray.data import DataContext
 
 from aspseek_ray.config import CrawlConfig
 from aspseek_ray.functions.hashing import fnv1a64_arrow
@@ -81,13 +82,6 @@ def _sample_seed_hosts(seeds_path: str) -> list[str]:
               .map_batches(sample, batch_format="pyarrow").take_all()]
 
 
-@ray.remote
-def _concat_block(*tables: pa.Table) -> pa.Table:
-    """Assemble one pages-bucket block from the per-shard pieces (runs on a
-    worker; the driver only handles refs)."""
-    return pa.concat_tables(tables).combine_chunks()
-
-
 @dataclass
 class CrawlResult:
     out_dir: str
@@ -114,29 +108,28 @@ def read_trace(out_dir: str) -> pa.Table:
 
 
 class FetchTraceDiscover:
-    """Fused per-bucket round stage (one Dataset execution per round):
-    fetch-join the scheduled batch against its pages bucket (O19), write
-    this bucket's trace part atomically (S9), extract + store the parsed
-    text of fetched pages (O6 + S8 stored copies, zstd parquet), parse +
-    canonicalize outlinks (O1/O3/O22-partial). Input: scheduled rows of
-    ONE bucket; output: candidate rows."""
+    """One crawl round's work on ONE pages bucket, run as one Ray task:
+    fetch-join the bucket's scheduled rows against its pages bucket
+    (O19), write this bucket's trace part atomically (S9), extract +
+    store the parsed text of fetched pages (O6 + S8 stored copies, zstd
+    parquet), parse + canonicalize outlinks (O1/O3/O22-partial) and offer
+    them to their shards. Returns the bucket's counters."""
 
     def __init__(self, bucket_dir: str, trace_round_dir: str, rnd: int,
-                 max_hops: int, store_round_dir: str | None = None,
-                 redirect_dir: str | None = None):
+                 max_hops: int, store_round_dir: str | None,
+                 redirect_dir: str | None, shards: list, host_bounds):
         self.lookup = BucketLookup(bucket_dir, redirect_dir)
         self.trace_dir = Path(trace_round_dir)
         self.store_dir = Path(store_round_dir) if store_round_dir else None
         self.rnd = rnd
         self.max_hops = max_hops
+        self.shards = shards
+        self.host_bounds = host_bounds
 
-    last_status_counts: dict[int, int] = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        fetched = self.lookup(batch)
-        vals, cnts = np.unique(np.asarray(fetched["status"]), return_counts=True)
-        self.last_status_counts = {int(v): int(c) for v, c in zip(vals, cnts)}
-        bucket = int(batch["bucket"][0].as_py())
+    def __call__(self, *pieces: pa.Table) -> dict:
+        fetched = self.lookup(pa.concat_tables(pieces))
+        status = np.asarray(fetched["status"])
+        bucket = int(fetched["bucket"][0].as_py())
         trace = fetched.select(
             ["fetch_seq", "url", "host", "depth", "discovery_seq", "status"])
         trace = trace.append_column(
@@ -152,7 +145,7 @@ class FetchTraceDiscover:
             # that parse_discover would otherwise re-extract.
             from aspseek_ray.functions.html import extract_text_links_robots
 
-            ok_idx = np.flatnonzero(np.asarray(fetched["status"]) == 200)
+            ok_idx = np.flatnonzero(status == 200)
             htmls = fetched["html"].to_pylist()
             texts: list[str] = []
             parsed = {}
@@ -175,21 +168,25 @@ class FetchTraceDiscover:
             tmp.rename(self.store_dir / f"part-{bucket}.parquet")
 
         cand = parse_discover(fetched, self.max_hops, parsed=parsed)
-        # Fold this bucket's status counts into the data stream as ONE
-        # all-null sentinel row carrying (n_200, n_404), so the driver
-        # never re-reads the round's trace parquet just to count statuses
-        # (candidate rows carry zeros; the sums survive any re-batching).
-        zeros = pa.array(np.zeros(cand.num_rows, np.int64))
-        cand = (cand.append_column("n_200", zeros)
-                    .append_column("n_404", zeros))
-        sc = self.last_status_counts
-        stats = pa.table({
-            f.name: (pa.array([sc.get(200, 0)], pa.int64())
-                     if f.name == "n_200"
-                     else pa.array([sc.get(404, 0)], pa.int64())
-                     if f.name == "n_404" else pa.nulls(1, f.type))
-            for f in cand.schema})
-        return pa.concat_tables([cand, stats])
+        # Offers are FIRE-AND-FORGET (a fetch task never blocks a worker
+        # slot on a busy shard actor — zipf link targets make one shard
+        # hot); the driver's counted barrier waits for the batches counted
+        # in ``submitted``.
+        submitted = [0] * len(self.shards)
+        if cand.num_rows:
+            sh = shard_of_hosts(self.host_bounds, cand["host"].to_pylist())
+            for s in np.unique(sh):
+                self.shards[int(s)].offer.remote(cand.filter(pa.array(sh == s)))
+                submitted[int(s)] += 1
+        return {"n_candidates": cand.num_rows,
+                "n_200": int(np.count_nonzero(status == 200)),
+                "n_404": int(np.count_nonzero(status == 404)),
+                "submitted": submitted}
+
+
+@ray.remote
+def _fetch_trace_discover(stage: FetchTraceDiscover, *pieces: pa.Table) -> dict:
+    return stage(*pieces)
 
 
 class Crawler:
@@ -310,7 +307,7 @@ class Crawler:
         _SEEDS_DRIVER_MAX) take a direct driver path — one column read,
         synchronous offers; the Dataset jobs' fixed overhead dominates at
         that size. Larger frontiers stream seeds.parquet through WORKER
-        tasks that shard-and-offer (the round loop's offer_fn pattern):
+        tasks that shard-and-offer fire-and-forget, as the round tasks do:
         no seed row passes through the driver — it sees only per-batch
         counter rows and the counted offer barrier. Identical offer
         semantics either way."""
@@ -361,16 +358,25 @@ class Crawler:
                                   columns=["url", "depth", "discovery_seq"])
                     .map_batches(seed_offer, batch_format="pyarrow")
                     .take_all())
+        self._offer_barrier(base_prog, [r["submitted"] for r in counts])
+
+    def _offer_barrier(self, base_prog: list, submitted: list) -> list:
+        """The counted offer barrier: poll the shards' processed-batch
+        counters until each shard has applied every offer batch submitted
+        to it since ``base_prog`` was read, so pops stay strictly after
+        all offers (loud timeout rather than silent divergence if anything
+        is lost; a dead shard raises at the first poll). Returns the last
+        (batches, staged) progress of each shard."""
         expected = np.array([p[0] for p in base_prog], dtype=np.int64)
-        for r in counts:
-            expected += np.asarray(r["submitted"], dtype=np.int64)
+        for sub in submitted:
+            expected += np.asarray(sub, dtype=np.int64)
         deadline = time.monotonic() + 600
-        while True:   # same counted barrier as the round loop
-            prog = ray.get([s.offer_progress.remote() for s in shards])
-            if all(prog[i][0] >= expected[i] for i in range(S)):
-                break
+        while True:
+            prog = ray.get([s.offer_progress.remote() for s in self.shards])
+            if all(p[0] >= e for p, e in zip(prog, expected)):
+                return prog
             if time.monotonic() > deadline:
-                raise RuntimeError("seed offer barrier timeout")
+                raise RuntimeError("offer barrier timeout — offers lost?")
             time.sleep(0.005)
 
     def _restore_latest(self) -> None:
@@ -385,24 +391,25 @@ class Crawler:
         self.metrics = m.get("metrics", [])
 
     # ------------------------------------------------------------------ round
-    def _pop_blocks(self) -> tuple[list | None, int]:
-        """Distributed pop -> stamp -> bucket-block assembly. The driver
-        sees only S counts and O(S x B) ObjectRefs; fetch_seq is stamped
+    def _pop_blocks(self) -> tuple[list | None, int, float, float]:
+        """Distributed pop -> stamp -> per-bucket pieces. The driver sees
+        only S counts and O(S x B) ObjectRefs; fetch_seq is stamped
         shard-locally (lex-range sharding makes shard-major order the
-        global host-lex order). Returns (per-bucket block refs, n_sched)."""
+        global host-lex order). Returns (each non-empty bucket's piece
+        refs, n_sched, counts seconds, emit seconds)."""
         B = self.cfg.num_page_buckets
         t0 = time.monotonic()
         counts = ray.get([s.pop_round_count.remote() for s in self.shards])
-        self._t_counts = time.monotonic() - t0
+        t_counts = time.monotonic() - t0
         total = int(sum(counts))
         if total == 0:
-            return None, 0
+            return None, 0, t_counts, 0.0
         limits = list(counts)
         if self.cfg.max_docs:
             remaining = self.cfg.max_docs - self.fetch_base
             if remaining <= 0:  # cap already reached: return all pops to heaps
                 ray.get([s.stamp_emit.remote(0, 0, B) for s in self.shards])
-                return None, 0
+                return None, 0, t_counts, 0.0
             run = 0
             for i, c in enumerate(counts):
                 limits[i] = max(0, min(c, remaining - run))
@@ -413,40 +420,31 @@ class Crawler:
         emits = ray.get([
             s.stamp_emit.remote(int(starts[i]), int(limits[i]), B)
             for i, s in enumerate(self.shards)])
-        self._t_emit = time.monotonic() - t1
+        t_emit = time.monotonic() - t1
         by_bucket: dict[int, list] = {}
         for pieces in emits:
             for b, ref in pieces:
                 by_bucket.setdefault(b, []).append(ref)
-        blocks = [refs[0] if len(refs) == 1 else _concat_block.remote(*refs)
-                  for _, refs in sorted(by_bucket.items())]
-        return blocks, int(sum(limits))
+        return ([refs for _, refs in sorted(by_bucket.items())],
+                int(sum(limits)), t_counts, t_emit)
 
     def run_round(self) -> dict | None:
         t0 = time.monotonic()
-        blocks, n_sched = self._pop_blocks()
+        buckets, n_sched, t_counts, t_emit = self._pop_blocks()
         t_pop = time.monotonic() - t0
-        if blocks is None:
+        if buckets is None:
             return None
         rnd = self.round
 
-        # one block per pages-bucket -> the fetch join never shuffles; the
-        # whole round body (fetch -> trace part write -> discover -> offer)
-        # is ONE streamed Dataset execution.
+        # a round dir left by a crashed run holds a partial round
         trace_round_dir = self.out / "trace" / f"round={rnd}"
-        if trace_round_dir.exists():  # partial round from a crashed run
-            import shutil
-
-            shutil.rmtree(trace_round_dir)
+        shutil.rmtree(trace_round_dir, ignore_errors=True)
         trace_round_dir.mkdir(parents=True)
 
         store_round_dir = None
         if self.cfg.write_store:
             srd = self.out / "store" / f"round={rnd}"
-            if srd.exists():
-                import shutil
-
-                shutil.rmtree(srd)
+            shutil.rmtree(srd, ignore_errors=True)
             srd.mkdir(parents=True)
             store_round_dir = str(srd)
             # store bucket modulus — lets the excerpt path prune a k-url
@@ -456,80 +454,38 @@ class Crawler:
                 meta.write_text(json.dumps(
                     {"num_buckets": self.cfg.num_page_buckets,
                      "key": "abs(fnv1a64(url)) % num_buckets"}))
-        stage = FetchTraceDiscover(self.bucket_dir, str(trace_round_dir), rnd,
-                                   self.cfg.max_hops, store_round_dir,
-                                   self.redirect_dir)
 
-        # Round body: ONE streamed Dataset execution — fetch-join + trace/
-        # store part writes + discover, then the offer stage, pipelined by
-        # the streaming executor. Offers are FIRE-AND-FORGET (a fetch task
-        # never blocks a worker slot on a busy shard actor — zipf link
-        # targets make one shard hot); the round barrier below polls the
-        # shards' processed-batch counters until every submitted offer has
-        # been applied, so pops stay strictly after all offers (loud
-        # timeout rather than silent divergence if anything is lost).
-        shards = self.shards
-        bounds = self.host_bounds
-        S = self.cfg.num_shards
-        base_prog = ray.get([s.offer_progress.remote() for s in shards])
-
-        def offer_fn(batch: pa.Table) -> pa.Table:
-            submitted = np.zeros(S, dtype=np.int64)
-            n_200 = int(pc.sum(batch["n_200"]).as_py() or 0)
-            n_404 = int(pc.sum(batch["n_404"]).as_py() or 0)
-            cand = batch.filter(pc.is_valid(batch["url"])).drop_columns(
-                ["n_200", "n_404"])     # strip the status-count sentinels
-            if cand.num_rows:
-                sh = shard_of_hosts(bounds, cand["host"].to_pylist())
-                for s in np.unique(sh):
-                    shards[int(s)].offer.remote(cand.filter(pa.array(sh == s)))
-                    submitted[int(s)] += 1
-            return pa.table({
-                "n_candidates": pa.array([cand.num_rows], pa.int64()),
-                "n_200": pa.array([n_200], pa.int64()),
-                "n_404": pa.array([n_404], pa.int64()),
-                "submitted": pa.array([submitted.tolist()],
-                                      pa.list_(pa.int64()))})
-
+        # Round body: one task per non-empty pages bucket, so the fetch
+        # join never shuffles. Each task gets its bucket's pieces as refs
+        # (zero-copy from the object store), fetches, writes its trace and
+        # store parts, discovers and offers, and returns four counters.
+        # Tasks are spread like Ray Data's own map tasks.
+        base_prog = ray.get([s.offer_progress.remote() for s in self.shards])
         t1 = time.monotonic()
-        ds = rd.from_arrow_refs(blocks)
-        counts = (ds
-                  .map_batches(stage, batch_format="pyarrow", batch_size=None,
-                               zero_copy_batch=True)
-                  .map_batches(offer_fn, batch_format="pyarrow")
-                  .take_all())
-        t_ds = time.monotonic() - t1
-        n_cand = int(sum(r["n_candidates"] for r in counts))
-        expected = np.array([p[0] for p in base_prog], dtype=np.int64)
-        for r in counts:
-            expected += np.asarray(r["submitted"], dtype=np.int64)
-        deadline = time.monotonic() + 600
-        while True:   # offer barrier (usually already drained)
-            prog = ray.get([s.offer_progress.remote() for s in shards])
-            if all(prog[i][0] >= expected[i] for i in range(S)):
-                break
-            if time.monotonic() > deadline:
-                raise RuntimeError("offer barrier timeout — offers lost?")
-            time.sleep(0.005)
+        stage = ray.put(FetchTraceDiscover(
+            self.bucket_dir, str(trace_round_dir), rnd, self.cfg.max_hops,
+            store_round_dir, self.redirect_dir, self.shards,
+            self.host_bounds))
+        task = _fetch_trace_discover.options(
+            scheduling_strategy=DataContext.get_current().scheduling_strategy)
+        counts = ray.get([task.remote(stage, *refs) for refs in buckets])
+        t_tasks = time.monotonic() - t1
+        prog = self._offer_barrier(base_prog, [r["submitted"] for r in counts])
         t_pipe = time.monotonic() - t1
-        t_barrier = t_pipe - t_ds
-        n_new = int(sum(p[1] for p in prog))
-        n_200 = int(sum(r["n_200"] for r in counts))
-        n_404 = int(sum(r["n_404"] for r in counts))
         m = {
             "round": rnd,
             "scheduled": n_sched,
-            "fetched_200": n_200,
-            "fetched_404": n_404,
-            "candidates": n_cand,
-            "newly_discovered": n_new,
+            "fetched_200": sum(r["n_200"] for r in counts),
+            "fetched_404": sum(r["n_404"] for r in counts),
+            "candidates": sum(r["n_candidates"] for r in counts),
+            "newly_discovered": int(sum(p[1] for p in prog)),
             "fetch_base": self.fetch_base,
             "wall_sec": round(time.monotonic() - t0, 4),
             "pop_sec": round(t_pop, 4),
-            "counts_sec": round(getattr(self, "_t_counts", 0.0), 4),
-            "emit_sec": round(getattr(self, "_t_emit", 0.0), 4),
+            "counts_sec": round(t_counts, 4),
+            "emit_sec": round(t_emit, 4),
             "pipeline_sec": round(t_pipe, 4),
-            "barrier_sec": round(t_barrier, 4),
+            "barrier_sec": round(t_pipe - t_tasks, 4),
         }
         self.fetch_base += n_sched
         self.metrics.append(m)
@@ -606,8 +562,13 @@ class Crawler:
     def shutdown(self) -> None:
         # a pending async checkpoint must land before its actors die —
         # killing a shard with its snapshot in flight would orphan the
-        # refs and silently drop the manifest
-        self._drain_checkpoint()
+        # refs and silently drop the manifest. If a shard is already lost
+        # its snapshot may never land: LATEST.json then keeps naming the
+        # previous complete checkpoint, which resume reads.
+        try:
+            self._drain_checkpoint()
+        except ray.exceptions.RayActorError:
+            pass
         for s in self.shards:
             ray.kill(s)
         self.shards = []

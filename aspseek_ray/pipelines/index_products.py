@@ -823,7 +823,7 @@ def ensure_anchor_index(pages_path: str) -> str:
     rename-into-place protocol as the search-side index builds."""
     from pathlib import Path
 
-    from aspseek_ray.runtime import build_once, source_key
+    from aspseek_ray.runtime import cached_build
 
     def build(tmp: Path) -> None:
         # fully distributed: anchor rows -> one (word, url) groupby ->
@@ -842,9 +842,8 @@ def ensure_anchor_index(pages_path: str) -> str:
         (agg.map_batches(stamp, batch_format="pyarrow")
             .write_parquet(str(tmp), partition_cols=["word_bucket"]))
 
-    out = Path("/tmp/aspseek_ray_anchor_idx") / source_key(pages_path,
-                                                           "anchor1")
-    return str(build_once(out, build))
+    return cached_build("/tmp/aspseek_ray_anchor_idx", pages_path,
+                        "anchor1", build)
 
 
 # the PageRank parameters of the cached rank table: pagerank's defaults
@@ -866,7 +865,7 @@ def ensure_ranks(pages_path: str) -> str:
     import json
     from pathlib import Path
 
-    from aspseek_ray.runtime import build_once, source_key
+    from aspseek_ray.runtime import cached_build
 
     def build(tmp: Path) -> None:
         n = rd.read_parquet(pages_path, columns=["url"]).count()
@@ -878,5 +877,4 @@ def ensure_ranks(pages_path: str) -> str:
         (tmp / "_manifest.json").write_text(json.dumps({"n_nodes": n}))
 
     tag = "ranks1:" + ":".join(map(str, _RANK_PARAMS))
-    out = Path("/tmp/aspseek_ray_ranks") / source_key(pages_path, tag)
-    return str(build_once(out, build))
+    return cached_build("/tmp/aspseek_ray_ranks", pages_path, tag, build)

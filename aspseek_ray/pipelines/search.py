@@ -47,7 +47,7 @@ import ray.data as rd
 
 from aspseek_ray.functions.hashing import fnv1a64, fnv1a64_arrow
 from aspseek_ray.pipelines.index_products import NUM_WORD_BUCKETS
-from aspseek_ray.runtime import build_once, source_key
+from aspseek_ray.runtime import build_once, cached_build
 
 DEFAULT_PHRASE = ("scan", "slow")
 DEFAULT_TERMS = ("spark", "window", "scan")
@@ -64,9 +64,8 @@ def _ensure_doc_postings(sf_dir: str) -> str:
     # :v2 — format bump: posting rows now carry the doc's token count
     # (doclen, the Lucene-norms denormalization BM25 needs) and the
     # manifest records total_tokens for avgdl.
-    out = Path("/tmp/aspseek_ray_postings") / source_key(doc_path, "v2")
-    return str(build_once(out, lambda build: _build_doc_postings(doc_path,
-                                                                 build)))
+    return cached_build("/tmp/aspseek_ray_postings", doc_path, "v2",
+                        lambda build: _build_doc_postings(doc_path, build))
 
 
 def _build_doc_postings(doc_path: str, build: Path) -> None:
@@ -108,9 +107,8 @@ def _ensure_store_index(store_dir: str) -> str:
     n_docs (the store's row count). Built by the first query that needs
     it, never at daemon start. A rewritten store file changes the key,
     so a changed store is indexed again."""
-    out = Path("/tmp/aspseek_ray_store_idx") / source_key(store_dir, "store1")
-    return str(build_once(out, lambda build: _build_store_index(store_dir,
-                                                                build)))
+    return cached_build("/tmp/aspseek_ray_store_idx", store_dir, "store1",
+                        lambda build: _build_store_index(store_dir, build))
 
 
 def _build_store_index(store_dir: str, build: Path) -> None:

@@ -121,3 +121,36 @@ def build_once(out: "str | Path", build: Callable[[Path], None]) -> Path:
     except OSError:
         shutil.rmtree(tmp, ignore_errors=True)  # another builder won
     return out
+
+
+_SOURCE_FILE = "_source.txt"   # the resolved source path of a cache entry
+
+
+def cached_build(root: "str | Path", source: str, tag: str,
+                 build: Callable[[Path], None]) -> str:
+    """The cache entry under ``root`` of the product ``build`` derives
+    from ``source`` (keyed by ``source_key(source, tag)``, made by
+    ``build_once``). Each new entry records its resolved source path; a
+    build (a miss, never a hit) then removes the sibling entries whose
+    recorded source no longer exists, so scratch stores and tables do not
+    pile up. Entries without a record are left alone."""
+    root = Path(root)
+    out = root / source_key(source, tag)
+    if out.exists():
+        return str(out)
+
+    def build_recorded(tmp: Path) -> None:
+        build(tmp)
+        (tmp / _SOURCE_FILE).write_text(str(Path(source).resolve()))
+
+    build_once(out, build_recorded)
+    for rec in root.glob(f"*/{_SOURCE_FILE}"):
+        if rec.parent == out or ".tmp" in rec.parent.name:
+            continue   # this entry, or another builder's work in progress
+        try:
+            gone = not Path(rec.read_text()).exists()
+        except OSError:   # swept meanwhile by a concurrent builder
+            continue
+        if gone:
+            shutil.rmtree(rec.parent, ignore_errors=True)
+    return str(out)

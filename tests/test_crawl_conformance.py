@@ -3,11 +3,15 @@ must reproduce the normative simulator's crawl trace and URL-seen set
 EXACTLY, and a run resumed from a mid-crawl checkpoint must converge to the
 identical final state."""
 
+import time
+
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from aspseek_ray.config import CrawlConfig
-from aspseek_ray.pipelines.crawl import Crawler, run_crawl
+from aspseek_ray.pipelines.crawl import Crawler, read_trace, run_crawl
 from fixtures.gen import generate_corpus
 from ref_sim import load_corpus, simulate
 
@@ -103,3 +107,64 @@ def test_max_docs_cap(ray_session, corpus, tmp_path):
     res = run_crawl(corpus, str(tmp_path / "out"), cfg)
     assert res.total_fetched == 17
     assert res.trace_table().to_pylist() == want.trace
+
+
+def test_round_counters_reconcile(ray_session, corpus, tmp_path):
+    """Every round's metrics agree with what the round wrote and did:
+    ``scheduled`` and the status counts with its trace rows,
+    ``candidates`` with the rows the shards report offered to them."""
+    out = str(tmp_path / "out")
+    c = Crawler(corpus, out, CFG)
+
+    def offered() -> int:
+        return sum(st["offered"]
+                   for st in ray.get([s.stats.remote() for s in c.shards]))
+
+    statuses = set()
+    try:
+        before = offered()
+        while c.round < CFG.max_rounds:
+            m = c.run_round()
+            if m is None:
+                break
+            trace = read_trace(out)
+            trace = trace.filter(pc.equal(trace["round"], m["round"]))
+            status = trace["status"].to_pylist()
+            statuses |= set(status)
+            assert m["scheduled"] == trace.num_rows, m
+            assert m["fetched_200"] == status.count(200), m
+            assert m["fetched_404"] == status.count(404), m
+            after = offered()
+            assert m["candidates"] == after - before, m
+            before = after
+    finally:
+        c.shutdown()
+    assert c.round > 2 and statuses == {200, 301, 404}, (c.round, statuses)
+
+
+def test_shard_loss_fails_fast_and_resumes(ray_session, corpus, golden,
+                                           tmp_path):
+    """A shard actor lost between rounds makes the next round raise a Ray
+    actor error at once (not after the 600 s offer barrier); shutdown
+    after the loss returns cleanly, and a resume from LATEST.json
+    reproduces the golden trace and seen set."""
+    out = str(tmp_path / "out")
+    c1 = Crawler(corpus, out, CFG)
+    for _ in range(3):
+        c1.run_round()
+    ray.kill(c1.shards[1])
+    t0 = time.monotonic()
+    with pytest.raises(ray.exceptions.RayActorError):
+        c1.run_round()
+    assert time.monotonic() - t0 < 30
+    t0 = time.monotonic()
+    c1.shutdown()
+    assert time.monotonic() - t0 < 30
+
+    c2 = Crawler(corpus, out, CFG, resume=True)
+    assert 1 <= c2.round <= 3
+    res = c2.run()
+    c2.shutdown()
+    assert res.trace_table().to_pylist() == golden.trace
+    seen = set(pq.read_table(res.seen_path())["url"].to_pylist())
+    assert seen == golden.seen

@@ -356,3 +356,52 @@ def test_caches_see_a_file_rewritten_inside_a_pages_dir(ray_session,
     fresh = ip.ensure_ranks(str(pages))
     assert fresh != ranks
     assert pq.read_table(fresh).equals(ip.pagerank(str(pages)))
+
+
+def test_cached_build_sweeps_entries_of_deleted_sources(tmp_path):
+    """A cache build records its source and removes the sibling entries
+    whose recorded source is gone; a hit removes nothing, and entries
+    without a record (or another builder's work in progress) stay."""
+    from pathlib import Path
+
+    from aspseek_ray.runtime import cached_build
+
+    root = tmp_path / "cache"
+    srcs = []
+    for name in "abc":
+        f = tmp_path / f"{name}.parquet"
+        pq.write_table(pa.table({"x": [1]}), f)
+        srcs.append(str(f))
+
+    def build(tmp):
+        (tmp / "data").write_text("x")
+
+    a, b = (cached_build(root, s, "t1", build) for s in srcs[:2])
+    assert (Path(a) / "_source.txt").read_text() == srcs[0]
+    (root / "unrecorded").mkdir()
+    (root / "x.tmp1.2").mkdir()
+    Path(srcs[0]).unlink()
+    assert cached_build(root, srcs[1], "t1", build) == b   # a hit
+    assert Path(a).exists()
+    c = cached_build(root, srcs[2], "t1", build)           # a miss
+    assert {p.name for p in root.iterdir()} == {
+        Path(b).name, Path(c).name, "unrecorded", "x.tmp1.2"}
+
+
+def test_store_index_of_a_deleted_store_is_swept(ray_session, tmp_path):
+    """The store index of a deleted scratch store is removed by the next
+    store-index build."""
+    import shutil
+    from pathlib import Path
+
+    from aspseek_ray.pipelines import search
+
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    store_a, _ = _mini_crawl_products(tmp_path / "a")
+    idx_a = search._ensure_store_index(store_a)
+    assert Path(idx_a).exists()
+    shutil.rmtree(store_a)
+    store_b, _ = _mini_crawl_products(tmp_path / "b")
+    idx_b = search._ensure_store_index(store_b)
+    assert Path(idx_b).exists() and not Path(idx_a).exists()
