@@ -207,11 +207,10 @@ class SearchdServer(_BaseServer):
                 per_site=per_site or None, query=query,
                 excerpt_width=excerpt_width)
 
-        # thread_safe: per-connection handler threads share the cache;
-        # identical concurrent queries dedupe to one pipeline run,
-        # distinct queries run their pipelines in parallel
-        self.cache = QueryCache(run_query, maxsize=cache_size,
-                                thread_safe=True)
+        # per-connection handler threads share the cache; identical
+        # concurrent queries dedupe to one pipeline run, distinct queries
+        # run their pipelines in parallel
+        self.cache = QueryCache(run_query, maxsize=cache_size)
 
     # -- request handlers ------------------------------------------------
 

@@ -1,5 +1,16 @@
-"""The flagship crawl pipeline (SURVEY.md §3.1 rebuild): a driver round
-loop where each frontier generation is one Ray task per pages bucket
+"""The flagship crawl pipeline (SURVEY.md §3.1 rebuild): a setup pass,
+then a driver round loop where each frontier generation is one Ray task
+per pages bucket. Setup reads seeds.parquet and robots.parquet only in
+worker tasks, one path at every size:
+
+    sample hosts, one task per row group of seeds + robots
+      -> lex-range cut points (host_bounds.json)          — S5/T3
+      -> spawn shards; each loads its robots range from a
+         task (Arrow ``lo <= host < hi`` pushdown)
+      -> offer seeds, one task per seeds row group, closed
+         by the counted offer barrier
+
+Each round:
 
     pop (CrawlShard actors, politeness heaps)            — O16/T1/T2/T3
       -> stamp dense fetch_seq (host-lex, pop order)     — trace contract
@@ -34,7 +45,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 from ray.data import DataContext
 
 from aspseek_ray.config import CrawlConfig
@@ -42,44 +52,78 @@ from aspseek_ray.functions.hashing import fnv1a64_arrow
 from aspseek_ray.functions.url import host_of, host_of_arrow
 from aspseek_ray.sources.pages import BucketLookup, bucket_pages
 from aspseek_ray.stages.discover import parse_discover
-from aspseek_ray.state.shard import CrawlShard, host_shard_bounds, shard_of_hosts
+from aspseek_ray.state.shard import (CrawlShard, host_range_filter,
+                                     host_shard_bounds, shard_of_hosts)
 
 TRACE_COLS = ["fetch_seq", "round", "url", "host", "depth", "discovery_seq", "status"]
-_BOUNDS_SAMPLE = 200_000  # max seed urls sampled for shard-boundary weighting
+_BOUNDS_SAMPLE = 200_000  # max hosts sampled per table for shard-boundary weighting
 
 
-# seed tables at or below this row count take the direct driver path
-# (one column read; the Dataset jobs' fixed overhead dominates there);
-# larger frontiers stream through worker tasks. Same semantics either way.
-_SEEDS_DRIVER_MAX = 1_000_000
+def _row_groups(path: str) -> range:
+    """Row-group indices of a parquet file (footer only, no data read)."""
+    return range(pq.ParquetFile(path).metadata.num_row_groups)
 
 
-def _seed_count(seeds_path: str) -> int:
-    """Row count from parquet metadata (no data read)."""
-    return pq.ParquetFile(seeds_path).metadata.num_rows
+@ray.remote
+def _sample_hosts(path: str, rg: int, column: str,
+                  follow: bool) -> tuple[list[str], list[tuple[str, str]]]:
+    """One row group's share of the setup sample: a stride sample of its
+    hosts, the stride taken from the table's row count in the footer so
+    a table yields ~_BOUNDS_SAMPLE hosts at any size. ``column`` is
+    ``url`` (seeds: hosts are parsed out) or ``host`` (robots). With
+    ``follow`` the row group's distinct (host, dir prefix) seed pairs
+    come back too."""
+    pf = pq.ParquetFile(path)
+    stride = max(1, pf.metadata.num_rows // _BOUNDS_SAMPLE)
+    vals = pf.read_row_group(rg, columns=[column])[column].to_pylist()
+    if column == "host":
+        return vals[::stride], []
+    pairs = ({(host_of(u), u[: u.rfind("/") + 1]) for u in vals}
+             if follow else set())
+    return [host_of(u) for u in vals[::stride]], sorted(pairs)
 
 
-def _sample_seed_hosts(seeds_path: str) -> list[str]:
-    """Bounded host sample of the seeds table for shard-boundary
-    weighting. Small tables are stride-sampled directly; above
-    _SEEDS_DRIVER_MAX worker tasks each contribute a batch-local stride
-    sample, so the driver receives ~_BOUNDS_SAMPLE hosts no matter how
-    many seeds exist. (The resulting bounds are persisted by the caller;
-    exactness on resume does not depend on batch layout.)"""
-    n = _seed_count(seeds_path)
-    stride = max(1, n // _BOUNDS_SAMPLE)
-    if n <= _SEEDS_DRIVER_MAX:
-        urls = pq.read_table(seeds_path, columns=["url"])["url"].to_pylist()
-        return [host_of(u) for u in urls[::stride]]
+@ray.remote
+def _robots_of_shard(path: str, lo: str | None, hi: str | None) -> pa.Table:
+    """The robots rows of the shard owning hosts in [lo, hi)."""
+    return pq.read_table(path, filters=host_range_filter(lo, hi))
 
-    def sample(batch: pa.Table) -> pa.Table:
-        picked = batch["url"].to_pylist()[::stride]
-        return pa.table({"host": pa.array([host_of(u) for u in picked],
-                                          pa.string())})
 
-    return [r["host"] for r in
-            rd.read_parquet(seeds_path, columns=["url"])
-              .map_batches(sample, batch_format="pyarrow").take_all()]
+def _seed_candidates(rows: pa.Table) -> pa.Table:
+    """Seed rows (url, depth, discovery_seq) as shard offer candidates."""
+    urls = rows["url"]
+    hosts = host_of_arrow(urls)
+    return pa.table({
+        "url": urls,
+        "url_hash": pa.array(fnv1a64_arrow(urls)),
+        "host": hosts,
+        "host_hash": pa.array(fnv1a64_arrow(hosts)),
+        "depth": rows["depth"],
+        "discovery_seq": rows["discovery_seq"],
+    })
+
+
+def _offer(shards: list, bounds, cand: pa.Table) -> list[int]:
+    """Offer candidates to the shards owning their hosts. Offers are
+    FIRE-AND-FORGET (a task never blocks a worker slot on a busy shard
+    actor — zipf link targets make one shard hot); the driver's counted
+    barrier waits for the batches counted in the returned per-shard
+    ``submitted`` list."""
+    submitted = [0] * len(shards)
+    if cand.num_rows:
+        sh = shard_of_hosts(bounds, cand["host"].to_pylist())
+        for s in np.unique(sh):
+            shards[int(s)].offer.remote(cand.filter(pa.array(sh == s)))
+            submitted[int(s)] += 1
+    return submitted
+
+
+@ray.remote
+def _offer_seed_rows(path: str, rg: int, shards: list, bounds) -> list[int]:
+    """Offer one row group of the seeds table; returns ``submitted``."""
+    rows = pq.ParquetFile(path).read_row_group(
+        rg, columns=["url", "depth", "discovery_seq"])
+    return _offer(shards, bounds, _seed_candidates(rows))
 
 
 @dataclass
@@ -168,20 +212,10 @@ class FetchTraceDiscover:
             tmp.rename(self.store_dir / f"part-{bucket}.parquet")
 
         cand = parse_discover(fetched, self.max_hops, parsed=parsed)
-        # Offers are FIRE-AND-FORGET (a fetch task never blocks a worker
-        # slot on a busy shard actor — zipf link targets make one shard
-        # hot); the driver's counted barrier waits for the batches counted
-        # in ``submitted``.
-        submitted = [0] * len(self.shards)
-        if cand.num_rows:
-            sh = shard_of_hosts(self.host_bounds, cand["host"].to_pylist())
-            for s in np.unique(sh):
-                self.shards[int(s)].offer.remote(cand.filter(pa.array(sh == s)))
-                submitted[int(s)] += 1
         return {"n_candidates": cand.num_rows,
                 "n_200": int(np.count_nonzero(status == 200)),
                 "n_404": int(np.count_nonzero(status == 404)),
-                "submitted": submitted}
+                "submitted": _offer(self.shards, self.host_bounds, cand)}
 
 
 @ray.remote
@@ -201,6 +235,26 @@ class Crawler:
         self.out.mkdir(parents=True, exist_ok=True)
         (self.out / "trace").mkdir(exist_ok=True)
         (self.out / "checkpoints").mkdir(exist_ok=True)
+        seeds_path = f"{corpus_dir}/seeds.parquet"
+        robots_path = f"{corpus_dir}/robots.parquet"
+        follow = self.cfg.follow_mode != "world"
+
+        # Sample pass, one task per row group of seeds and robots: lex-range
+        # cut points weighted by URL MASS (a bounded host sample of seeds)
+        # so zipf host sizes balance; robots hosts (weight 1) cover
+        # unseeded hosts. The bounds are persisted to host_bounds.json at
+        # first init and reloaded verbatim on resume, so resume-exactness
+        # never depends on the sample. Submitted first, gathered after the
+        # bucketing below, so the tasks overlap driver work.
+        bounds_file = self.out / "checkpoints" / "host_bounds.json"
+        reuse_bounds = resume and bounds_file.exists()
+        samples = []
+        if follow or not reuse_bounds:
+            samples = [_sample_hosts.remote(seeds_path, rg, "url", follow)
+                       for rg in _row_groups(seeds_path)]
+            if not reuse_bounds:
+                samples += [_sample_hosts.remote(robots_path, rg, "host", False)
+                            for rg in _row_groups(robots_path)]
 
         scratch = Path(scratch_dir or (self.out / "pages_bucketed"))
         self.bucket_dir = bucket_pages(f"{corpus_dir}/pages.parquet", str(scratch),
@@ -218,83 +272,44 @@ class Crawler:
                 columns=["src_url", "dst_url"], url_col="src_url",
                 driver_max_rows=1_000_000)
 
-        robots = pq.read_table(f"{corpus_dir}/robots.parquet")
-        # lex-range host partitioning: global host order == shard-major
-        # order. Cut points are weighted by URL MASS (a bounded host
-        # sample of seeds, drawn by WORKER tasks — the driver receives
-        # only <= ~_BOUNDS_SAMPLE hosts) so zipf host sizes balance;
-        # robots hosts (weight 1) cover unseeded hosts. The computed
-        # bounds are persisted to host_bounds.json at first init and
-        # reloaded verbatim on resume, so resume-exactness never depends
-        # on the sampling's batch layout.
-        bounds_file = self.out / "checkpoints" / "host_bounds.json"
-        if resume and bounds_file.exists():
+        samples = ray.get(samples)
+        if reuse_bounds:
             self.host_bounds = tuple(json.loads(bounds_file.read_text()))
         else:
-            weighted = _sample_seed_hosts(f"{corpus_dir}/seeds.parquet")
-            weighted += robots["host"].to_pylist()
-            self.host_bounds = host_shard_bounds(weighted, self.cfg.num_shards)
+            self.host_bounds = host_shard_bounds(
+                [h for hosts, _ in samples for h in hosts], self.cfg.num_shards)
             bounds_file.write_text(json.dumps(list(self.host_bounds)))
-        shard_ids = shard_of_hosts(self.host_bounds, robots["host"].to_pylist())
-        cfg_json = json.dumps({
-            "per_host_per_round": self.cfg.per_host_per_round,
-            "max_hops": self.cfg.max_hops,
-            "max_rounds": self.cfg.max_rounds,
-            "round_time_budget_ms": self.cfg.round_time_budget_ms,
-            "max_docs": self.cfg.max_docs,
-            "num_shards": self.cfg.num_shards,
-            "num_page_buckets": self.cfg.num_page_buckets,
-            "disallow_patterns": list(self.cfg.disallow_patterns),
-            "checkpoint_every": self.cfg.checkpoint_every,
-            "follow_mode": self.cfg.follow_mode,
-            "host_heap_cap": self.cfg.host_heap_cap,
-        })
-        # follow-mode (O3) seed slices, partitioned like everything else
-        follow_hosts: list[list[str]] = [[] for _ in range(self.cfg.num_shards)]
-        follow_prefixes: list[list[str]] = [[] for _ in range(self.cfg.num_shards)]
-        if self.cfg.follow_mode != "world":
-            # distinct (host, prefix) pairs — direct read for small seed
-            # tables; Dataset groupby above the size switch, where the
-            # driver receives O(distinct seed sites), never O(seeds)
-            spath = f"{corpus_dir}/seeds.parquet"
-            if _seed_count(spath) <= _SEEDS_DRIVER_MAX:
-                us = pq.read_table(spath, columns=["url"])["url"].to_pylist()
-                pairs = sorted({(host_of(u), u[: u.rfind("/") + 1])
-                                for u in us})
-            else:
-                from ray.data.aggregate import Count
 
-                def hp(batch: pa.Table) -> pa.Table:
-                    ps = {(host_of(u), u[: u.rfind("/") + 1])
-                          for u in batch["url"].to_pylist()}
-                    return pa.table({
-                        "host": pa.array([h for h, _ in ps], pa.string()),
-                        "prefix": pa.array([p for _, p in ps], pa.string())})
+        # follow-mode (O3) seed slices, partitioned like everything else:
+        # the driver holds O(distinct seed sites) pairs, never O(seeds)
+        S = self.cfg.num_shards
+        follow_hosts: list[set[str]] = [set() for _ in range(S)]
+        follow_prefixes: list[set[str]] = [set() for _ in range(S)]
+        pairs = [hp for _, ps in samples for hp in ps]
+        if pairs:
+            sh = shard_of_hosts(self.host_bounds, [h for h, _ in pairs])
+            for (h, p), s in zip(pairs, sh):
+                follow_hosts[s].add(h)
+                follow_prefixes[s].add(p)
 
-                rows = (rd.read_parquet(spath, columns=["url"])
-                          .map_batches(hp, batch_format="pyarrow")
-                          .groupby(["host", "prefix"])
-                          .aggregate(Count(alias_name="_c")).take_all())
-                pairs = [(r["host"], r["prefix"]) for r in rows]
-            for h, p in pairs:
-                s = int(shard_of_hosts(self.host_bounds, [h])[0])
-                follow_hosts[s].append(h)
-                follow_prefixes[s].append(p)
-            follow_hosts = [sorted(set(x)) for x in follow_hosts]
-            follow_prefixes = [sorted(set(x)) for x in follow_prefixes]
+        # each shard's robots rows come from a worker task; Ray resolves
+        # the ref before the actor's __init__ runs
+        cuts = [None, *self.host_bounds, None]
         ShardActor = ray.remote(CrawlShard)
         spill_dir = str(self.out / "spill")
         self.shards = [
-            ShardActor.remote(s, cfg_json,
-                              robots.filter(pa.array(shard_ids == s)),
-                              follow_hosts=follow_hosts[s],
-                              follow_prefixes=follow_prefixes[s],
-                              spill_dir=spill_dir)
-            for s in range(self.cfg.num_shards)
+            ShardActor.remote(
+                s, self.cfg,
+                _robots_of_shard.remote(robots_path, cuts[s], cuts[s + 1]),
+                follow_hosts=sorted(follow_hosts[s]),
+                follow_prefixes=sorted(follow_prefixes[s]),
+                spill_dir=spill_dir)
+            for s in range(S)
         ]
         self.round = 0
         self.fetch_base = 0
         self.metrics: list[dict] = []
+        self._pending_ckpt: dict | None = None
 
         if resume:
             self._restore_latest()
@@ -303,62 +318,15 @@ class Crawler:
 
     # ------------------------------------------------------------------ setup
     def _offer_seeds(self) -> None:
-        """Seed the shard frontiers. Small seed tables (<=
-        _SEEDS_DRIVER_MAX) take a direct driver path — one column read,
-        synchronous offers; the Dataset jobs' fixed overhead dominates at
-        that size. Larger frontiers stream seeds.parquet through WORKER
-        tasks that shard-and-offer fire-and-forget, as the round tasks do:
-        no seed row passes through the driver — it sees only per-batch
-        counter rows and the counted offer barrier. Identical offer
-        semantics either way."""
+        """Seed the shard frontiers: one task per seeds row group offers
+        its rows fire-and-forget, as the round tasks do, and the counted
+        offer barrier closes the pass. No seed row passes through the
+        driver."""
         seeds_path = f"{self.corpus_dir}/seeds.parquet"
-        if _seed_count(seeds_path) <= _SEEDS_DRIVER_MAX:
-            seeds = pq.read_table(seeds_path)
-            urls = seeds["url"]
-            hosts = host_of_arrow(urls)
-            cand = pa.table({
-                "url": urls,
-                "url_hash": pa.array(fnv1a64_arrow(urls)),
-                "host": hosts,
-                "host_hash": pa.array(fnv1a64_arrow(hosts)),
-                "depth": seeds["depth"],
-                "discovery_seq": seeds["discovery_seq"],
-            })
-            sh = shard_of_hosts(self.host_bounds, hosts.to_pylist())
-            ray.get([self.shards[int(s)].offer.remote(
-                         cand.filter(pa.array(sh == s)))
-                     for s in np.unique(sh)])
-            return
-        shards = self.shards
-        bounds = self.host_bounds
-        S = self.cfg.num_shards
-        base_prog = ray.get([s.offer_progress.remote() for s in shards])
-
-        def seed_offer(batch: pa.Table) -> pa.Table:
-            submitted = np.zeros(S, dtype=np.int64)
-            if batch.num_rows:
-                urls = batch["url"]
-                hosts = host_of_arrow(urls)
-                cand = pa.table({
-                    "url": urls,
-                    "url_hash": pa.array(fnv1a64_arrow(urls)),
-                    "host": hosts,
-                    "host_hash": pa.array(fnv1a64_arrow(hosts)),
-                    "depth": batch["depth"],
-                    "discovery_seq": batch["discovery_seq"],
-                })
-                sh = shard_of_hosts(bounds, hosts.to_pylist())
-                for s in np.unique(sh):
-                    shards[int(s)].offer.remote(cand.filter(pa.array(sh == s)))
-                    submitted[int(s)] += 1
-            return pa.table({"submitted": pa.array([submitted.tolist()],
-                                                   pa.list_(pa.int64()))})
-
-        counts = (rd.read_parquet(f"{self.corpus_dir}/seeds.parquet",
-                                  columns=["url", "depth", "discovery_seq"])
-                    .map_batches(seed_offer, batch_format="pyarrow")
-                    .take_all())
-        self._offer_barrier(base_prog, [r["submitted"] for r in counts])
+        counts = ray.get([
+            _offer_seed_rows.remote(seeds_path, rg, self.shards, self.host_bounds)
+            for rg in _row_groups(seeds_path)])
+        self._offer_barrier([(0, 0)] * len(self.shards), counts)
 
     def _offer_barrier(self, base_prog: list, submitted: list) -> list:
         """The counted offer barrier: poll the shards' processed-batch
@@ -525,7 +493,7 @@ class Crawler:
         }
 
     def _drain_checkpoint(self) -> None:
-        p = getattr(self, "_pending_ckpt", None)
+        p = self._pending_ckpt
         if p is None:
             return
         self._pending_ckpt = None

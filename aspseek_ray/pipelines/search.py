@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -815,55 +817,30 @@ class QueryCache:
     searchd query cache). Wraps any query callable; keys on the positional
     args. Eviction is least-recently-used at ``maxsize`` entries.
 
-    ``thread_safe=True`` is the daemon mode (searchd serves each
-    connection on its own thread): bookkeeping goes under a lock, and a
-    per-key in-flight registry dedupes concurrent IDENTICAL queries (the
-    late arrivals wait for the first run and count as hits) while
-    DISTINCT queries execute their pipelines in parallel — the
-    reference's per-connection-thread model, where only the cache itself
-    is a shared structure."""
+    Safe to share between threads (searchd serves each connection on its
+    own thread): bookkeeping goes under a lock, and a per-key in-flight
+    registry dedupes concurrent IDENTICAL queries (the late arrivals wait
+    for the first run and count as hits) while DISTINCT queries execute
+    their pipelines in parallel — the reference's per-connection-thread
+    model, where only the cache itself is a shared structure."""
 
-    def __init__(self, fn, maxsize: int = 128, thread_safe: bool = False):
-        import threading
-        from collections import OrderedDict
-
+    def __init__(self, fn, maxsize: int = 128):
         self.fn = fn
         self.maxsize = maxsize
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self._lock = threading.Lock() if thread_safe else None
+        self._lock = threading.Lock()
         self._inflight: dict[tuple, threading.Event] = {}
-
-    def _lookup(self, key) -> tuple[bool, object]:
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            self.hits += 1
-            return True, self._cache[key]
-        return False, None
-
-    def _store(self, key, val) -> None:
-        self.misses += 1
-        self._cache[key] = val
-        if len(self._cache) > self.maxsize:
-            self._cache.popitem(last=False)
 
     def __call__(self, *args):
         key = args
-        if self._lock is None:
-            hit, val = self._lookup(key)
-            if hit:
-                return val
-            val = self.fn(*args)
-            self._store(key, val)
-            return val
-        import threading
-
         while True:
             with self._lock:
-                hit, val = self._lookup(key)
-                if hit:
-                    return val
+                if key in self._cache:
+                    self._cache.move_to_end(key)
+                    self.hits += 1
+                    return self._cache[key]
                 ev = self._inflight.get(key)
                 if ev is None:
                     self._inflight[key] = ev = threading.Event()
@@ -872,7 +849,10 @@ class QueryCache:
         try:
             val = self.fn(*args)
             with self._lock:
-                self._store(key, val)
+                self.misses += 1
+                self._cache[key] = val
+                if len(self._cache) > self.maxsize:
+                    self._cache.popitem(last=False)
             return val
         finally:
             with self._lock:

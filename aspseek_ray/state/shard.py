@@ -4,10 +4,11 @@ src/hrefs.cpp, per-server politeness bookkeeping in src/index.cpp,
 robots cache).
 
 One ``CrawlShard`` owns a contiguous LEXICOGRAPHIC RANGE of hosts (range
-partitioning via ``shard_of_hosts`` — boundaries cut from the known host
-universe) — so a host's politeness heap, its robots rules and the
-seen-entries of all its URLs are co-located on exactly one actor (url ->
-host is a function, so seen-by-url and frontier-by-host shard identically).
+partitioning via ``shard_of_hosts`` — boundaries cut from host samples of
+the seed and robots tables) — so a host's politeness heap, its robots
+rules and the seen-entries of all its URLs are co-located on exactly one
+actor (url -> host is a function, so seen-by-url and frontier-by-host
+shard identically).
 Range (not hash) partitioning makes the global trace order
 (host-lex, pop-order) equal to (shard_id, shard-local order), so the dense
 ``fetch_seq`` is stamped SHARD-LOCALLY from S prefix-summed counts — the
@@ -17,10 +18,11 @@ state (north_rule: 10^10-URL frontier = many shards across nodes; hot-host
 skew is bounded by the per-round budget; a backlogged host costs heap
 memory only — at 10^10-URL scale raise num_shards so each shard's backlog
 fits its node, and spill cold heap tails to the per-shard frontier parquet
-if needed). Range-boundary skew: cut points come from the observed host
-universe (robots table); at real scale re-derive them from a frontier
-sample and migrate shard state on rebalance (snapshot -> restore with new
-bounds).
+if needed). Range-boundary skew: cut points are even quantiles of bounded
+host samples of the seeds (weighted by URL mass) and robots tables, drawn
+by worker tasks at first init; at real scale re-derive them from a
+frontier sample and migrate shard state on rebalance (snapshot -> restore
+with new bounds).
 
 Determinism contract (matches tests/ref_sim.py exactly):
   * offers for round K+1 arrive between ``pop_round`` K and K+1 and are
@@ -40,7 +42,6 @@ answers always — false positives never drop URLs).
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -82,20 +83,36 @@ def shard_of_hosts(bounds: list[str], hosts) -> np.ndarray:
     return np.searchsorted(np.array(bounds, dtype=object), arr, side="right")
 
 
+def host_range_filter(lo: str | None, hi: str | None):
+    """Arrow filter ``lo <= host < hi`` (``None`` = unbounded) selecting
+    the hosts ``shard_of_hosts`` routes to shard s when ``lo, hi`` are
+    its neighbouring cut points ``bounds[s-1], bounds[s]``. Arrow orders
+    strings by UTF-8 bytes, which is code-point order — Python's."""
+    # imported here: every shard actor process imports this module but
+    # never filters, and pyarrow.compute is a slow import
+    import pyarrow.compute as pc
+
+    cond = None
+    if lo is not None:
+        cond = pc.field("host") >= lo
+    if hi is not None:
+        below = pc.field("host") < hi
+        cond = below if cond is None else cond & below
+    return cond
+
+
 class CrawlShard:
     """Instantiate as ray.remote(CrawlShard).remote(...) — plain class here
     so unit tests can drive it without a cluster."""
 
-    def __init__(self, shard_id: int, cfg_json: str,
+    def __init__(self, shard_id: int, cfg: CrawlConfig,
                  robots_rows: pa.Table | None = None,
                  cuckoo_capacity: int = 1 << 20,
                  follow_hosts: list[str] | None = None,
                  follow_prefixes: list[str] | None = None,
                  spill_dir: str | None = None):
         self.shard_id = shard_id
-        cfg_raw = json.loads(cfg_json)
-        cfg_raw["disallow_patterns"] = tuple(cfg_raw.get("disallow_patterns", ()))
-        self.cfg = CrawlConfig(**cfg_raw)
+        self.cfg = cfg
         self.filters = [re.compile(p) for p in self.cfg.disallow_patterns]
         # follow mode (O3, reference `Server [mode] URL`): this shard's
         # slice of the seed host set / seed directory prefixes. A prefix
@@ -431,7 +448,7 @@ class CrawlShard:
         [(bucket, ObjectRef), ...] — the driver only ships refs."""
         import ray
 
-        t = getattr(self, "_popped", None)
+        t = self._popped
         self._popped = None
         if t is None or t.num_rows == 0:
             return []

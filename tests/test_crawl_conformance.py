@@ -45,18 +45,71 @@ def test_trace_and_seen_conformance(ray_session, corpus, golden, tmp_path):
 
 
 def test_distributed_seed_path_conformance(ray_session, corpus, golden,
-                                           tmp_path, monkeypatch):
-    """Forcing the worker-task seed-offer path (and the Dataset redirect
-    bucketing) below its size switch must reproduce the exact same trace
-    as the direct driver path — identical offer semantics either way."""
-    import aspseek_ray.pipelines.crawl as crawl_mod
+                                           tmp_path):
+    """Setup reads seeds.parquet and robots.parquet one row group per
+    worker task: with both tables rewritten in 7-row row groups (several
+    sample and seed-offer tasks, robots rows split across row groups),
+    the crawl reproduces the golden trace."""
+    import shutil
 
-    monkeypatch.setattr(crawl_mod, "_SEEDS_DRIVER_MAX", 0)
-    res = run_crawl(corpus, str(tmp_path / "out"), CFG)
+    src = tmp_path / "corpus"
+    shutil.copytree(corpus, src)
+    for name in ("seeds.parquet", "robots.parquet"):
+        path = src / name
+        pq.write_table(pq.read_table(path), path, row_group_size=7)
+        assert pq.ParquetFile(path).metadata.num_row_groups > 1
+    res = run_crawl(str(src), str(tmp_path / "out"), CFG)
     trace = res.trace_table().to_pylist()
     assert len(trace) == len(golden.trace)
     for got, want in zip(trace, golden.trace):
         assert got == want
+
+
+def test_setup_reads_no_seed_or_robots_row_on_driver(ray_session, corpus,
+                                                     golden, tmp_path,
+                                                     monkeypatch):
+    """With every driver-side row read of seeds.parquet and robots.parquet
+    guarded (pq.read_table, ParquetFile row reads, pyarrow.dataset — the
+    factory both the dataset and read_table paths go through), a crawl
+    still reproduces the golden trace: setup reads both tables in worker
+    tasks. Workers are separate processes, which the guard does not
+    reach; footer reads stay allowed."""
+    import pyarrow.dataset as pads
+
+    def check(source):
+        for src in source if isinstance(source, (list, tuple)) else [source]:
+            assert not str(src).endswith(("seeds.parquet", "robots.parquet")), \
+                f"driver read rows of {src}"
+
+    read_table, dataset = pq.read_table, pads.dataset
+    pf_init = pq.ParquetFile.__init__
+
+    def guarded_read_table(source, *a, **kw):
+        check(source)
+        return read_table(source, *a, **kw)
+
+    def guarded_dataset(source, *a, **kw):
+        check(source)
+        return dataset(source, *a, **kw)
+
+    def recording_init(self, source, *a, **kw):
+        pf_init(self, source, *a, **kw)
+        self.guard_source = source
+
+    def guarded(read):
+        def rows(self, *a, **kw):
+            check(self.guard_source)
+            return read(self, *a, **kw)
+        return rows
+
+    monkeypatch.setattr(pq, "read_table", guarded_read_table)
+    monkeypatch.setattr(pads, "dataset", guarded_dataset)
+    monkeypatch.setattr(pq.ParquetFile, "__init__", recording_init)
+    for name in ("read_row_group", "read_row_groups", "read", "iter_batches"):
+        monkeypatch.setattr(pq.ParquetFile, name,
+                            guarded(getattr(pq.ParquetFile, name)))
+    res = run_crawl(corpus, str(tmp_path / "out"), CFG)
+    assert res.trace_table().to_pylist() == golden.trace
 
 
 def test_text_invariant_against_corpus(ray_session, sf_small_dir):
@@ -142,21 +195,36 @@ def test_round_counters_reconcile(ray_session, corpus, tmp_path):
     assert c.round > 2 and statuses == {200, 301, 404}, (c.round, statuses)
 
 
+@pytest.mark.parametrize("when", ["between_rounds", "mid_round"])
 def test_shard_loss_fails_fast_and_resumes(ray_session, corpus, golden,
-                                           tmp_path):
-    """A shard actor lost between rounds makes the next round raise a Ray
-    actor error at once (not after the 600 s offer barrier); shutdown
-    after the loss returns cleanly, and a resume from LATEST.json
-    reproduces the golden trace and seen set."""
+                                           tmp_path, when):
+    """A shard actor lost between rounds, or in round 3 after the bucket
+    tasks have offered to the shards, makes that round raise a Ray actor
+    error at once (not after the 600 s offer barrier); shutdown after
+    the loss returns cleanly, and a resume from LATEST.json reproduces
+    the golden trace and seen set."""
     out = str(tmp_path / "out")
     c1 = Crawler(corpus, out, CFG)
     for _ in range(3):
         c1.run_round()
-    ray.kill(c1.shards[1])
+    offered = []
+    if when == "between_rounds":
+        ray.kill(c1.shards[1])
+    else:
+        barrier = c1._offer_barrier
+
+        def kill_then_wait(base_prog, submitted):
+            offered.extend(submitted)
+            ray.kill(c1.shards[1])
+            return barrier(base_prog, submitted)
+
+        c1._offer_barrier = kill_then_wait
     t0 = time.monotonic()
     with pytest.raises(ray.exceptions.RayActorError):
         c1.run_round()
     assert time.monotonic() - t0 < 30
+    if when == "mid_round":
+        assert c1.round == 3 and sum(sub[1] for sub in offered) > 0, offered
     t0 = time.monotonic()
     c1.shutdown()
     assert time.monotonic() - t0 < 30

@@ -276,9 +276,9 @@ def test_concurrent_clients(searchd):
 
 
 def test_querycache_thread_safe_dedupes_inflight():
-    """thread_safe mode: concurrent IDENTICAL keys run the wrapped fn
-    once (late arrivals wait and count as hits); DISTINCT keys run in
-    parallel; errors don't wedge waiters."""
+    """Concurrent IDENTICAL keys run the wrapped fn once (late arrivals
+    wait and count as hits); DISTINCT keys run in parallel; errors don't
+    wedge waiters."""
     import threading
     import time
 
@@ -294,7 +294,7 @@ def test_querycache_thread_safe_dedupes_inflight():
             raise ValueError("boom")
         return f"{q}/{g}"
 
-    qc = QueryCache(slow, maxsize=8, thread_safe=True)
+    qc = QueryCache(slow, maxsize=8)
     results: dict[int, object] = {}
 
     def worker(i, q):

@@ -135,7 +135,8 @@ def test_tfidf_matches_text_scan(ray_session):
 
 # ----------------------------------------------------- lex-range sharding
 def test_shard_of_hosts_routing():
-    from aspseek_ray.state.shard import host_shard_bounds, shard_of_hosts
+    from aspseek_ray.state.shard import (host_range_filter,
+                                         host_shard_bounds, shard_of_hosts)
 
     hosts = [f"h{i:03d}.example" for i in range(100)]
     # weight h000 heavily: cuts must dedicate shards to its mass
@@ -150,6 +151,23 @@ def test_shard_of_hosts_routing():
     again = shard_of_hosts(bounds, ["zzz.example", "aaa.example"])
     assert list(again) == list(shard_of_hosts(bounds,
                                               ["zzz.example", "aaa.example"]))
+
+    # the Arrow range filter that loads each shard's robots rows routes
+    # exactly like shard_of_hosts: non-ASCII and astral-plane hosts, and
+    # a heavy host that repeats a cut point (its neighbours' ranges empty)
+    mixed = hosts + ["é.example", "éa.example", "zé.example", "ü.example",
+                     "\U0001f600.example", "\uffff.example", "Z.example"]
+    heavy = ["h050.example"] * 900 + mixed
+    assert len(set(host_shard_bounds(heavy, 5))) < 4
+    for weighted, S in ((mixed, 7), (heavy, 5)):
+        bounds = host_shard_bounds(weighted, S)
+        sh = shard_of_hosts(bounds, mixed)
+        cuts = [None, *bounds, None]
+        t = pa.table({"host": pa.array(mixed, pa.string())})
+        for s in range(S):
+            got = t.filter(host_range_filter(cuts[s], cuts[s + 1]))
+            assert sorted(got["host"].to_pylist()) == sorted(
+                h for h, x in zip(mixed, sh) if x == s), (S, s)
 
 
 def test_follow_mode_conformance(ray_session, tmp_path_factory):
@@ -264,17 +282,12 @@ def test_heap_spill_conformance(ray_session, tmp_path_factory):
 def test_heap_spill_bounds_memory():
     """Plain-class check: the in-heap size per host never exceeds the cap
     while total pending is preserved."""
-    import json
-    from dataclasses import asdict
-
     from aspseek_ray.config import CrawlConfig
     from aspseek_ray.functions.hashing import fnv1a64
     from aspseek_ray.state.shard import CrawlShard
 
-    cfg_json = json.dumps(asdict(CrawlConfig(per_host_per_round=3,
-                                             host_heap_cap=8,
-                                             max_hops=99)))
-    s = CrawlShard(0, cfg_json, spill_dir="/tmp/spill_unit")
+    cfg = CrawlConfig(per_host_per_round=3, host_heap_cap=8, max_hops=99)
+    s = CrawlShard(0, cfg, spill_dir="/tmp/spill_unit")
     rows = [(f"http://h.example/p{i}", "h.example", 1, 1000 - i)
             for i in range(200)]
     t = pa.table({
@@ -301,16 +314,13 @@ def test_heap_spill_random_interleave():
     global pop order must equal the reference model (per round: best
     ``budget`` not-yet-popped entries by (depth, seq)) — exercises
     spill_min routing, overflow runs, and reloads under churn."""
-    import json
-    from dataclasses import asdict
-
     from aspseek_ray.config import CrawlConfig
     from aspseek_ray.functions.hashing import fnv1a64
     from aspseek_ray.state.shard import CrawlShard
 
     rng = np.random.Generator(np.random.PCG64(21))
     cfg = CrawlConfig(per_host_per_round=5, host_heap_cap=6, max_hops=99)
-    s = CrawlShard(0, json.dumps(asdict(cfg)), spill_dir="/tmp/spill_rand")
+    s = CrawlShard(0, cfg, spill_dir="/tmp/spill_rand")
     ref: list[tuple[int, int, str]] = []   # (depth, seq, url) not yet popped
     got, want = [], []
     next_id = 0

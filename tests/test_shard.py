@@ -1,18 +1,10 @@
 """CrawlShard unit tests — driven as a plain class (no cluster):
 arrival-order independence, politeness budgets, robots, snapshot/restore."""
 
-import json
-
 import pyarrow as pa
 
 from aspseek_ray.config import CrawlConfig
 from aspseek_ray.state.shard import CrawlShard
-
-
-def _cfg_json(**kw) -> str:
-    from dataclasses import asdict
-
-    return json.dumps(asdict(CrawlConfig(**kw)))
 
 
 def _cand(rows):
@@ -28,8 +20,8 @@ def _cand(rows):
 
 
 def test_staging_min_seq_order_independent():
-    a = CrawlShard(0, _cfg_json())
-    b = CrawlShard(0, _cfg_json())
+    a = CrawlShard(0, CrawlConfig())
+    b = CrawlShard(0, CrawlConfig())
     o1 = _cand([("http://h.example/x", "h.example", 1, 100)])
     o2 = _cand([("http://h.example/x", "h.example", 2, 50)])
     a.offer(o1); a.offer(o2)
@@ -41,7 +33,7 @@ def test_staging_min_seq_order_independent():
 
 
 def test_seen_rejects_across_rounds_but_not_within():
-    s = CrawlShard(0, _cfg_json())
+    s = CrawlShard(0, CrawlConfig())
     s.offer(_cand([("http://h.example/x", "h.example", 0, 10)]))
     s.pop_round()
     # re-offer after fetch -> rejected by seen
@@ -51,7 +43,7 @@ def test_seen_rejects_across_rounds_but_not_within():
 
 
 def test_budget_and_heap_order():
-    s = CrawlShard(0, _cfg_json(per_host_per_round=2))
+    s = CrawlShard(0, CrawlConfig(per_host_per_round=2))
     rows = [(f"http://h.example/p{i}", "h.example", d, q)
             for i, (d, q) in enumerate([(2, 5), (1, 9), (1, 3), (3, 1)])]
     s.offer(_cand(rows))
@@ -69,7 +61,7 @@ def test_crawl_delay_budget():
         "rules": pa.array([[]], pa.list_(pa.string())),
         "crawl_delay_ms": pa.array([1000], pa.int64()),
     })
-    s = CrawlShard(0, _cfg_json(per_host_per_round=4, round_time_budget_ms=2000),
+    s = CrawlShard(0, CrawlConfig(per_host_per_round=4, round_time_budget_ms=2000),
                    robots_rows=robots)
     rows = [(f"http://slow.example/p{i}", "slow.example", 0, i) for i in range(6)]
     s.offer(_cand(rows))
@@ -82,7 +74,7 @@ def test_robots_and_depth_rejection():
         "rules": pa.array([["/private/"]], pa.list_(pa.string())),
         "crawl_delay_ms": pa.array([0], pa.int64()),
     })
-    s = CrawlShard(0, _cfg_json(max_hops=2), robots_rows=robots)
+    s = CrawlShard(0, CrawlConfig(max_hops=2), robots_rows=robots)
     n = s.offer(_cand([
         ("http://h.example/private/x", "h.example", 0, 1),   # robots
         ("http://h.example/deep", "h.example", 3, 2),        # depth
@@ -93,14 +85,14 @@ def test_robots_and_depth_rejection():
 
 
 def test_snapshot_restore_roundtrip(tmp_path):
-    s = CrawlShard(3, _cfg_json())
+    s = CrawlShard(3, CrawlConfig())
     s.offer(_cand([("http://a.example/1", "a.example", 0, 1),
                    ("http://b.example/2", "b.example", 0, 2)]))
     s.pop_round()  # fetch both; seen = {1,2}
     s.offer(_cand([("http://a.example/3", "a.example", 1, 30)]))  # staged
     s.snapshot(str(tmp_path))
 
-    r = CrawlShard(3, _cfg_json())
+    r = CrawlShard(3, CrawlConfig())
     r.restore(str(tmp_path))
     assert r.seen == s.seen
     # staged offer was flushed into the snapshot -> pops identically
