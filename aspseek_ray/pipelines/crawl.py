@@ -5,10 +5,14 @@ worker tasks, one path at every size:
 
     sample hosts, one task per row group of seeds + robots
       -> lex-range cut points (host_bounds.json)          — S5/T3
-      -> spawn shards; each loads its robots range from a
+      -> lease shards (reset pooled actors in place, spawn
+         the shortfall); each loads its robots range from a
          task (Arrow ``lo <= host < hi`` pushdown)
       -> offer seeds, one task per seeds row group, closed
          by the counted offer barrier
+
+Each phase's seconds and the spawned/reused shard counts go to
+``setup.json`` next to ``metrics.json``.
 
 Each round:
 
@@ -21,6 +25,13 @@ Each round:
 
 Durable state between rounds is ONLY the shard actors (checkpointed to
 Parquet per round); the Ray object store is never relied on across runs.
+
+Shard lifecycle: actor processes outlive a crawl. ``shutdown()`` returns
+them to a pool of the current Ray session when no offer can still be in
+flight, and the next ``Crawler`` resets them in place (``CrawlShard.reset``
+re-runs the constructor), so re-crawls and resumes in one session skip
+the actor start-up. A crawl whose round raised, or that lost a shard,
+has its actors killed; a crawl in a fresh session spawns all S.
 
 Scale notes (SURVEY §4): the per-round driver work is O(S + B) — shards
 are LEX-RANGE partitioned by host (state/shard.py::shard_of_hosts), so the
@@ -126,12 +137,47 @@ def _offer_seed_rows(path: str, rg: int, shards: list, bounds) -> list[int]:
     return _offer(shards, bounds, _seed_candidates(rows))
 
 
+class _ShardPool:
+    """Idle ``CrawlShard`` actors, keyed by the Ray session (driver node
+    + job): after ``ray.shutdown()`` / ``ray.init()`` no handle of the
+    old session is handed out. Starting an actor costs a process and its
+    imports, several CPU-seconds against the few a small crawl needs.
+    Crawlers spawn only what the pool lacks, so it never holds more
+    actors than were live at once."""
+
+    def __init__(self):
+        self.session: tuple[str, str] | None = None
+        self.idle: list = []
+
+    @staticmethod
+    def _session() -> tuple[str, str]:
+        ctx = ray.get_runtime_context()
+        return ctx.get_node_id(), ctx.get_job_id()
+
+    def lease(self, n: int) -> list:
+        """Up to ``n`` idle actors, the most recently returned first."""
+        session = self._session()
+        if session != self.session:
+            self.session, self.idle = session, []
+        k = max(0, len(self.idle) - n)
+        out, self.idle = self.idle[k:], self.idle[:k]
+        return out
+
+    def give_back(self, shards: list) -> None:
+        if self.session == self._session():
+            self.idle.extend(shards)
+
+
+_POOL = _ShardPool()
+
+
 @dataclass
 class CrawlResult:
     out_dir: str
     rounds: int
     total_fetched: int
     metrics: list[dict] = field(default_factory=list)
+    setup: dict = field(default_factory=dict)
 
     def trace_table(self) -> pa.Table:
         return read_trace(self.out_dir)
@@ -224,11 +270,18 @@ def _fetch_trace_discover(stage: FetchTraceDiscover, *pieces: pa.Table) -> dict:
 
 
 class Crawler:
-    """Owns the shard actor pool and the round loop. Construct fresh
-    (``seed=True``) or from the latest checkpoint (``resume=True``)."""
+    """Owns one crawl's shard actors and the round loop. Construct for a
+    fresh crawl, or with ``resume=True`` to restore the latest checkpoint.
+
+    Shard lifecycle: the S ``CrawlShard`` actors are leased per crawl
+    from a pool of idle actors of the current Ray session and reset in
+    place (only the shortfall is spawned). ``shutdown()`` gives them back
+    when every round it started closed its offer barrier; after a round
+    that raised, or with a shard lost, it kills them."""
 
     def __init__(self, corpus_dir: str, out_dir: str, cfg: CrawlConfig | None = None,
                  *, resume: bool = False, scratch_dir: str | None = None):
+        t0 = time.monotonic()
         self.cfg = cfg or CrawlConfig()
         self.corpus_dir = corpus_dir
         self.out = Path(out_dir)
@@ -238,6 +291,8 @@ class Crawler:
         seeds_path = f"{corpus_dir}/seeds.parquet"
         robots_path = f"{corpus_dir}/robots.parquet"
         follow = self.cfg.follow_mode != "world"
+        # set-up phase seconds and shard counts (setup.json)
+        self.setup: dict = {}
 
         # Sample pass, one task per row group of seeds and robots: lex-range
         # cut points weighted by URL MASS (a bounded host sample of seeds)
@@ -256,6 +311,7 @@ class Crawler:
                 samples += [_sample_hosts.remote(robots_path, rg, "host", False)
                             for rg in _row_groups(robots_path)]
 
+        t = time.monotonic()
         scratch = Path(scratch_dir or (self.out / "pages_bucketed"))
         self.bucket_dir = bucket_pages(f"{corpus_dir}/pages.parquet", str(scratch),
                                        num_buckets=self.cfg.num_page_buckets)
@@ -271,6 +327,7 @@ class Crawler:
                 num_buckets=self.cfg.num_page_buckets,
                 columns=["src_url", "dst_url"], url_col="src_url",
                 driver_max_rows=1_000_000)
+        t = self._phase("bucket_sec", t)
 
         samples = ray.get(samples)
         if reuse_bounds:
@@ -291,32 +348,65 @@ class Crawler:
             for (h, p), s in zip(pairs, sh):
                 follow_hosts[s].add(h)
                 follow_prefixes[s].add(p)
+        t = self._phase("sample_sec", t)
 
         # each shard's robots rows come from a worker task; Ray resolves
-        # the ref before the actor's __init__ runs
+        # the ref before the actor's __init__ (or reset) runs
         cuts = [None, *self.host_bounds, None]
-        ShardActor = ray.remote(CrawlShard)
         spill_dir = str(self.out / "spill")
-        self.shards = [
-            ShardActor.remote(
-                s, self.cfg,
-                _robots_of_shard.remote(robots_path, cuts[s], cuts[s + 1]),
-                follow_hosts=sorted(follow_hosts[s]),
-                follow_prefixes=sorted(follow_prefixes[s]),
-                spill_dir=spill_dir)
-            for s in range(S)
-        ]
+        shard_args = [
+            ((s, self.cfg,
+              _robots_of_shard.remote(robots_path, cuts[s], cuts[s + 1])),
+             {"follow_hosts": sorted(follow_hosts[s]),
+              "follow_prefixes": sorted(follow_prefixes[s]),
+              "spill_dir": spill_dir})
+            for s in range(S)]
+        ShardActor = ray.remote(CrawlShard)
+        pooled = _POOL.lease(S)
+        resets = [a.reset.remote(*args, **kw)
+                  for a, (args, kw) in zip(pooled, shard_args)]
+        self.shards = pooled + [ShardActor.remote(*args, **kw)
+                                for args, kw in shard_args[len(pooled):]]
+        # Ray orders actor calls per caller only and the seed offers come
+        # from worker tasks, so every reset must have run before they are
+        # submitted. An actor that died idle in the pool is replaced.
+        reused = len(pooled)
+        for s, ref in enumerate(resets):
+            try:
+                ray.get(ref)
+            except ray.exceptions.RayActorError:
+                args, kw = shard_args[s]
+                self.shards[s] = ShardActor.remote(*args, **kw)
+                reused -= 1
+        self.setup["shards_spawned"] = S - reused
+        self.setup["shards_reused"] = reused
+        t = self._phase("shards_sec", t)
+
         self.round = 0
         self.fetch_base = 0
         self.metrics: list[dict] = []
         self._pending_ckpt: dict | None = None
+        # False while a round (or the seed pass) may still have offers in
+        # flight; shutdown pools the shards only when it is True
+        self._offers_closed = False
 
         if resume:
             self._restore_latest()
+            self._phase("restore_sec", t)
         else:
             self._offer_seeds()
+            self._phase("seed_sec", t)
+        self._offers_closed = True
+        self.setup["wall_sec"] = round(time.monotonic() - t0, 4)
 
     # ------------------------------------------------------------------ setup
+    def _phase(self, key: str, start: float) -> float:
+        """Record the seconds since ``start`` as set-up phase ``key``;
+        returns now, the next phase's start."""
+        now = time.monotonic()
+        self.setup[key] = round(now - start, 4)
+        return now
+
     def _offer_seeds(self) -> None:
         """Seed the shard frontiers: one task per seeds row group offers
         its rows fire-and-forget, as the round tasks do, and the counted
@@ -398,9 +488,11 @@ class Crawler:
 
     def run_round(self) -> dict | None:
         t0 = time.monotonic()
+        self._offers_closed = False   # stays False if the round raises
         buckets, n_sched, t_counts, t_emit = self._pop_blocks()
         t_pop = time.monotonic() - t0
         if buckets is None:
+            self._offers_closed = True
             return None
         rnd = self.round
 
@@ -439,6 +531,7 @@ class Crawler:
         counts = ray.get([task.remote(stage, *refs) for refs in buckets])
         t_tasks = time.monotonic() - t1
         prog = self._offer_barrier(base_prog, [r["submitted"] for r in counts])
+        self._offers_closed = True
         t_pipe = time.monotonic() - t1
         m = {
             "round": rnd,
@@ -521,7 +614,9 @@ class Crawler:
         seen_dir.mkdir(exist_ok=True)
         ray.get([s.write_seen.remote(str(seen_dir)) for s in self.shards])
         (self.out / "metrics.json").write_text(json.dumps(self.metrics, indent=2))
-        return CrawlResult(str(self.out), self.round, self.fetch_base, self.metrics)
+        (self.out / "setup.json").write_text(json.dumps(self.setup, indent=2))
+        return CrawlResult(str(self.out), self.round, self.fetch_base,
+                           self.metrics, self.setup)
 
     def seen_table(self) -> pa.Table:
         tables = ray.get([s.seen_table.remote() for s in self.shards])
@@ -533,12 +628,21 @@ class Crawler:
         # refs and silently drop the manifest. If a shard is already lost
         # its snapshot may never land: LATEST.json then keeps naming the
         # previous complete checkpoint, which resume reads.
+        # The shards go back to the pool only when no offer can still be
+        # in flight (a late offer would land in the next crawl's staging)
+        # and all of them answer; otherwise they are killed.
+        idle = self._offers_closed
         try:
             self._drain_checkpoint()
+            if idle:
+                ray.get([s.offer_progress.remote() for s in self.shards])
         except ray.exceptions.RayActorError:
-            pass
-        for s in self.shards:
-            ray.kill(s)
+            idle = False
+        if idle:
+            _POOL.give_back(self.shards)
+        else:
+            for s in self.shards:
+                ray.kill(s)
         self.shards = []
 
 

@@ -103,7 +103,8 @@ def host_range_filter(lo: str | None, hi: str | None):
 
 class CrawlShard:
     """Instantiate as ray.remote(CrawlShard).remote(...) — plain class here
-    so unit tests can drive it without a cluster."""
+    so unit tests can drive it without a cluster. A pooled actor serves
+    its next crawl through ``reset``."""
 
     def __init__(self, shard_id: int, cfg: CrawlConfig,
                  robots_rows: pa.Table | None = None,
@@ -127,7 +128,7 @@ class CrawlShard:
             pref_of.setdefault(host_of(p), []).append(p)
         self.follow_prefix_of = {h: tuple(v) for h, v in pref_of.items()}
         # robots: host -> (tuple rules, delay_ms); only rows for my hosts are
-        # passed in (pre-partitioned), loaded once per actor (T3).
+        # passed in (pre-partitioned), loaded once per crawl (T3).
         self.robots: dict[str, tuple[tuple[str, ...], int]] = {}
         # offer() fast path: '?'-free Disallow rules check as a plain
         # str.startswith(tuple) on the url's path+query slice (paths can't
@@ -180,6 +181,14 @@ class CrawlShard:
         self.n_offer_batches = 0
         self.n_rejected_seen = 0
         self.n_rejected_filtered = 0
+
+    def reset(self, *args, **kwargs) -> None:
+        """Take the constructor's arguments and re-run it in place, so a
+        pooled actor process serves a new crawl without a respawn. Every
+        attribute is dropped first: no state of the previous crawl
+        survives."""
+        self.__dict__.clear()
+        self.__init__(*args, **kwargs)
 
     # ------------------------------------------------------------------ offer
     def offer_progress(self) -> tuple[int, int]:

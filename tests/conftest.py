@@ -48,3 +48,47 @@ def sf_small_dir(tmp_path_factory) -> str:
     out = tmp_path_factory.mktemp("corpus_small")
     generate_corpus(str(out), n_pages=2000, n_hosts=40, seed=42)
     return str(out)
+
+
+@pytest.fixture
+def kill_shards():
+    """``kill(handles)``: ray.kill the shard actors and wait until each
+    one fails a call, so no later call can still reach a dying actor."""
+    import time
+
+    import ray
+
+    def kill(handles) -> None:
+        for h in handles:
+            ray.kill(h)
+        deadline = time.monotonic() + 30
+        for h in handles:
+            while True:
+                try:
+                    ray.get(h.offer_progress.remote())
+                except ray.exceptions.RayActorError:
+                    break
+                assert time.monotonic() < deadline, "killed shard still answers"
+                time.sleep(0.05)
+
+    return kill
+
+
+@pytest.fixture(scope="module", autouse=True)
+def release_pooled_shards():
+    """Crawl shard actors outlive a crawl, pooled for the session's next
+    one. Kill the idle ones when a test module ends, so that one module's
+    pooled actors do not add to the Ray worker processes of the next
+    (Ray prints a worker-count warning to the driver's stdout when they
+    pass 4x num_cpus, which the CLI output tests would read)."""
+    yield
+    import sys
+
+    crawl = sys.modules.get("aspseek_ray.pipelines.crawl")
+    if crawl is None or not crawl._POOL.idle:
+        return
+    import ray
+
+    for h in crawl._POOL.idle:
+        ray.kill(h)
+    crawl._POOL.idle = []

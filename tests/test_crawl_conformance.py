@@ -3,6 +3,7 @@ must reproduce the normative simulator's crawl trace and URL-seen set
 EXACTLY, and a run resumed from a mid-crawl checkpoint must converge to the
 identical final state."""
 
+import json
 import time
 
 import pyarrow.compute as pc
@@ -11,6 +12,7 @@ import pytest
 import ray
 
 from aspseek_ray.config import CrawlConfig
+from aspseek_ray.pipelines import crawl
 from aspseek_ray.pipelines.crawl import Crawler, read_trace, run_crawl
 from fixtures.gen import generate_corpus
 from ref_sim import load_corpus, simulate
@@ -29,6 +31,16 @@ def corpus(tmp_path_factory):
 def golden(corpus):
     pages, seeds, robots, redirects = load_corpus(corpus)
     return simulate(pages, seeds, robots, CFG, redirects)
+
+
+def _actor_ids(shards) -> set[str]:
+    return {s._actor_id.hex() for s in shards}
+
+
+def _assert_golden(res, golden) -> None:
+    assert res.trace_table().to_pylist() == golden.trace
+    seen = set(pq.read_table(res.seen_path())["url"].to_pylist())
+    assert seen == golden.seen
 
 
 def test_trace_and_seen_conformance(ray_session, corpus, golden, tmp_path):
@@ -132,25 +144,90 @@ def test_text_invariant_against_corpus(ray_session, sf_small_dir):
     assert sum(r["n_ok"] for r in out) == 2000
 
 
-def test_resume_from_checkpoint(ray_session, corpus, golden, tmp_path):
-    """Run 4 rounds, tear the crawler down (simulated crash after the round-3
-    checkpoint), resume from LATEST and finish: final trace + seen must be
-    identical to the golden uninterrupted run."""
+@pytest.mark.parametrize("shards", ["killed", "pooled"])
+def test_resume_from_checkpoint(ray_session, corpus, golden, tmp_path,
+                               kill_shards, shards):
+    """Run 4 rounds, tear the crawler down after the round-3 checkpoint,
+    resume from LATEST and finish: final trace + seen must be identical to
+    the golden uninterrupted run. ``killed``: a crash, every shard actor
+    is gone and the resume runs on other actors. ``pooled``: a clean
+    shutdown, the resume resets the same actors in place."""
     out = str(tmp_path / "out")
     c1 = Crawler(corpus, out, CFG)
     for _ in range(4):
         c1.run_round()
-    c1.shutdown()  # crash: actor state lost; checkpoints + trace files remain
+    ids1 = _actor_ids(c1.shards)
+    if shards == "killed":
+        c1._drain_checkpoint()   # the round-3 checkpoint lands, then
+        kill_shards(c1.shards)   # the crash takes every shard
+    c1.shutdown()  # checkpoints + trace files remain
 
     c2 = Crawler(corpus, out, CFG, resume=True)
     assert c2.round == 4
+    if shards == "killed":
+        assert not ids1 & _actor_ids(c2.shards)
+    else:
+        assert _actor_ids(c2.shards) == ids1
+        assert c2.setup["shards_spawned"] == 0
     res = c2.run()
     c2.shutdown()
+    _assert_golden(res, golden)
 
-    trace = res.trace_table().to_pylist()
-    assert [dict(r) for r in trace] == golden.trace
-    seen = set(pq.read_table(res.seen_path())["url"].to_pylist())
-    assert seen == golden.seen
+
+def test_back_to_back_crawls_reuse_shards(ray_session, corpus, golden,
+                                          tmp_path, kill_shards):
+    """Crawls one after another in one Ray session run on the same shard
+    actors, reset in place, and each reproduces the golden trace and seen
+    set. A pooled actor that died while idle is replaced by a new one."""
+    S = CFG.num_shards
+    results, ids = [], []
+    for i in range(2):
+        c = Crawler(corpus, str(tmp_path / f"out{i}"), CFG)
+        ids.append(_actor_ids(c.shards))
+        try:
+            results.append(c.run())
+        finally:
+            c.shutdown()
+    assert ids[1] == ids[0]
+    assert results[1].setup["shards_spawned"] == 0
+    assert results[1].setup["shards_reused"] == S
+    assert set(results[1].setup) >= {"bucket_sec", "sample_sec", "shards_sec",
+                                     "seed_sec", "wall_sec"}
+    setup_json = json.loads(
+        (tmp_path / "out1" / "setup.json").read_text())
+    assert setup_json == results[1].setup
+    for res in results:
+        _assert_golden(res, golden)
+
+    # an idle pooled actor dies: the next crawl spawns one replacement
+    dead = next(h for h in crawl._POOL.idle if h._actor_id.hex() in ids[1])
+    kill_shards([dead])
+    c = Crawler(corpus, str(tmp_path / "out2"), CFG)
+    try:
+        assert c.setup["shards_spawned"] == 1
+        assert c.setup["shards_reused"] == S - 1
+        assert _actor_ids(c.shards) & ids[1] == ids[1] - _actor_ids([dead])
+        res = c.run()
+    finally:
+        c.shutdown()
+    _assert_golden(res, golden)
+
+
+def test_new_session_spawns_every_shard(ray_session, corpus, tmp_path,
+                                        monkeypatch):
+    """The pool never hands out an actor of another Ray session: under a
+    new session key a crawler spawns all S shards."""
+    c = Crawler(corpus, str(tmp_path / "warm"), CFG)
+    c.shutdown()
+    assert crawl._POOL.idle
+    monkeypatch.setattr(crawl._ShardPool, "_session",
+                        staticmethod(lambda: ("another-node", "another-job")))
+    c = Crawler(corpus, str(tmp_path / "out"), CFG)
+    try:
+        assert c.setup["shards_spawned"] == CFG.num_shards
+        assert c.setup["shards_reused"] == 0
+    finally:
+        c.shutdown()
 
 
 def test_max_docs_cap(ray_session, corpus, tmp_path):
@@ -201,12 +278,14 @@ def test_shard_loss_fails_fast_and_resumes(ray_session, corpus, golden,
     """A shard actor lost between rounds, or in round 3 after the bucket
     tasks have offered to the shards, makes that round raise a Ray actor
     error at once (not after the 600 s offer barrier); shutdown after
-    the loss returns cleanly, and a resume from LATEST.json reproduces
-    the golden trace and seen set."""
+    the loss returns cleanly and kills the crawl's shards rather than
+    pool them, and a resume from LATEST.json, on other actors,
+    reproduces the golden trace and seen set."""
     out = str(tmp_path / "out")
     c1 = Crawler(corpus, out, CFG)
     for _ in range(3):
         c1.run_round()
+    ids1 = _actor_ids(c1.shards)
     offered = []
     if when == "between_rounds":
         ray.kill(c1.shards[1])
@@ -228,11 +307,11 @@ def test_shard_loss_fails_fast_and_resumes(ray_session, corpus, golden,
     t0 = time.monotonic()
     c1.shutdown()
     assert time.monotonic() - t0 < 30
+    assert not ids1 & _actor_ids(crawl._POOL.idle)
 
     c2 = Crawler(corpus, out, CFG, resume=True)
     assert 1 <= c2.round <= 3
+    assert not ids1 & _actor_ids(c2.shards)
     res = c2.run()
     c2.shutdown()
-    assert res.trace_table().to_pylist() == golden.trace
-    seen = set(pq.read_table(res.seen_path())["url"].to_pylist())
-    assert seen == golden.seen
+    _assert_golden(res, golden)

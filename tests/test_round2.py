@@ -239,15 +239,11 @@ def test_query_cache_lru():
     assert calls == [1, 2, 3, 1]
 
 
-def test_heap_spill_conformance(ray_session, tmp_path_factory):
-    """Backlog spill (host_heap_cap): with a pathologically tiny cap the
-    crawl must spill nearly every frontier entry through parquet runs and
-    STILL reproduce the simulator's trace and seen set exactly — including
-    a resume from checkpoint mid-crawl."""
-    import pyarrow.parquet as pq
-
+@pytest.fixture(scope="module")
+def spill_case(tmp_path_factory):
+    """A corpus, a crawl config with a pathologically tiny heap cap, and
+    the simulator's result for them."""
     from aspseek_ray.config import CrawlConfig
-    from aspseek_ray.pipelines.crawl import Crawler, run_crawl
     from fixtures.gen import generate_corpus
     from ref_sim import load_corpus, simulate
 
@@ -256,27 +252,56 @@ def test_heap_spill_conformance(ray_session, tmp_path_factory):
     pages, seeds, robots, redirects = load_corpus(d)
     cfg = CrawlConfig(max_rounds=10, num_shards=2, num_page_buckets=4,
                       host_heap_cap=4)
-    want = simulate(pages, seeds, robots, cfg, redirects)
+    return d, cfg, simulate(pages, seeds, robots, cfg, redirects)
 
-    out = str(tmp_path_factory.mktemp("spill_out"))
-    res = run_crawl(d, out, cfg)
+
+def test_heap_spill_conformance(ray_session, spill_case, tmp_path):
+    """Backlog spill (host_heap_cap): with a pathologically tiny cap the
+    crawl must spill nearly every frontier entry through parquet runs and
+    STILL reproduce the simulator's trace and seen set exactly (the
+    resume from a mid-crawl checkpoint: test_heap_spill_resume)."""
+    import pyarrow.parquet as pq
+
+    from aspseek_ray.pipelines.crawl import run_crawl
+
+    d, cfg, want = spill_case
+    res = run_crawl(d, str(tmp_path / "out"), cfg)
     assert res.trace_table().to_pylist() == want.trace
     seen = set(pq.read_table(res.seen_path())["url"].to_pylist())
     assert seen == want.seen
     assert res.rounds > 2
 
-    # resume path: crash after 3 rounds, restore, finish — identical state
-    out2 = str(tmp_path_factory.mktemp("spill_out2"))
-    c1 = Crawler(d, out2, cfg)
+
+@pytest.mark.parametrize("shards", ["killed", "pooled"])
+def test_heap_spill_resume(ray_session, spill_case, tmp_path, kill_shards,
+                           shards):
+    """The spilling crawl stopped after 3 rounds and resumed from its
+    checkpoint ends in the simulator's trace and seen set, on other
+    actors after a crash (``killed``) and on the same actors reset in
+    place after a clean shutdown (``pooled``)."""
+    import pyarrow.parquet as pq
+
+    from aspseek_ray.pipelines.crawl import Crawler
+
+    d, cfg, want = spill_case
+    out = str(tmp_path / "out")
+    c1 = Crawler(d, out, cfg)
     for _ in range(3):
         c1.run_round()
+    ids1 = {s._actor_id.hex() for s in c1.shards}
+    if shards == "killed":
+        c1._drain_checkpoint()
+        kill_shards(c1.shards)
     c1.shutdown()
-    c2 = Crawler(d, out2, cfg, resume=True)
-    res2 = c2.run()
+    c2 = Crawler(d, out, cfg, resume=True)
+    ids2 = {s._actor_id.hex() for s in c2.shards}
+    assert c2.round == 3
+    assert ids2 == ids1 if shards == "pooled" else not ids1 & ids2
+    res = c2.run()
     c2.shutdown()
-    assert res2.trace_table().to_pylist() == want.trace
-    seen2 = set(pq.read_table(res2.seen_path())["url"].to_pylist())
-    assert seen2 == want.seen
+    assert res.trace_table().to_pylist() == want.trace
+    seen = set(pq.read_table(res.seen_path())["url"].to_pylist())
+    assert seen == want.seen
 
 
 def test_heap_spill_bounds_memory():

@@ -99,3 +99,44 @@ def test_snapshot_restore_roundtrip(tmp_path):
     assert r.pop_round()["url"].to_pylist() == ["http://a.example/3"]
     # and seen-set blocks re-offers after restore
     assert r.offer(_cand([("http://a.example/1", "a.example", 0, 99)])) == 0
+
+
+def test_reset_leaves_no_state_of_the_previous_crawl(tmp_path):
+    """A shard driven through offers, pops, a heap spill and a max_docs
+    push-back, then reset with another shard id, config and robots rows,
+    is indistinguishable from a freshly constructed shard."""
+    used = CrawlShard(0, CrawlConfig(per_host_per_round=2, host_heap_cap=4),
+                      spill_dir=str(tmp_path / "old"))
+    used.offer(_cand([(f"http://a.example/p{i}", "a.example", 1, i)
+                      for i in range(20)]))
+    used.pop_round()
+    assert used.spill_runs                    # the tiny cap spilled
+    used.offer(_cand([("http://b.example/x", "b.example", 0, 99)]))
+    assert used.pop_round_count() > 0
+    assert used.stamp_emit(0, 0, 4) == []     # max_docs cap: all pushed back
+    assert used.seen and used.pending() and used.n_offered
+
+    robots = pa.table({
+        "host": ["a.example", "slow.example"],
+        "rules": pa.array([["/p1"], []], pa.list_(pa.string())),
+        "crawl_delay_ms": pa.array([0, 1000], pa.int64()),
+    })
+    cfg = CrawlConfig(per_host_per_round=3, max_hops=2, host_heap_cap=8)
+    used.reset(5, cfg, robots, spill_dir=str(tmp_path / "reset"))
+    fresh = CrawlShard(5, cfg, robots, spill_dir=str(tmp_path / "fresh"))
+
+    assert set(vars(used)) == set(vars(fresh))
+    assert used.stats() == fresh.stats()
+    assert used.pending() == fresh.pending() == 0
+    assert used.seen_table().equals(fresh.seen_table())
+    offers = _cand([(f"http://a.example/p{i}", "a.example", i % 4, i)
+                    for i in range(20)]
+                   + [(f"http://slow.example/s{i}", "slow.example", 0, 50 + i)
+                      for i in range(4)]
+                   + [("http://b.example/x", "b.example", 1, 99)])
+    for s in (used, fresh):
+        s.offer(offers)
+    assert used.pop_round().equals(fresh.pop_round())
+    assert used.stats() == fresh.stats()
+    assert used.pending() == fresh.pending()
+    assert used.seen_table().equals(fresh.seen_table())
