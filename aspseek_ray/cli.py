@@ -42,7 +42,7 @@ def _ensure_ray(address: str | None = None) -> None:
 
 def _cmd_crawl(args: argparse.Namespace) -> int:
     from aspseek_ray.config import CrawlConfig
-    from aspseek_ray.pipelines.crawl import run_crawl
+    from aspseek_ray.pipelines.crawl import release_shards, run_crawl
 
     if args.config:
         cfg = CrawlConfig.from_json(args.config)
@@ -58,8 +58,11 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             kw["follow_mode"] = args.follow_mode
         cfg = CrawlConfig(**kw)
     _ensure_ray(args.ray_address)
-    res = run_crawl(args.corpus, args.out, cfg, resume=args.resume,
-                    scratch_dir=args.scratch)
+    try:
+        res = run_crawl(args.corpus, args.out, cfg, resume=args.resume,
+                        scratch_dir=args.scratch)
+    finally:
+        release_shards()
     print(json.dumps({"out_dir": res.out_dir, "rounds": res.rounds,
                       "total_fetched": res.total_fetched}))
     return 0

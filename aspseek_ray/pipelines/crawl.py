@@ -1,6 +1,7 @@
 """The flagship crawl pipeline (SURVEY.md §3.1 rebuild): a setup pass,
-then a driver round loop where each frontier generation is one Ray task
-per pages bucket. Setup reads seeds.parquet and robots.parquet only in
+then a driver round loop where each frontier generation is one call per
+shard actor and one Ray task per group of pages buckets, at most one
+group per cluster CPU. Setup reads seeds.parquet and robots.parquet only in
 worker tasks, one path at every size:
 
     sample hosts, one task per row group of seeds + robots
@@ -16,11 +17,15 @@ Each phase's seconds and the spawned/reused shard counts go to
 
 Each round:
 
-    pop (CrawlShard actors, politeness heaps)            — O16/T1/T2/T3
-      -> stamp dense fetch_seq (host-lex, pop order)     — trace contract
+    pop, tag, put: one CrawlShard.pop_emit per shard     — O16/T1/T2/T3
+      (one piece per task group, bucket % G)
+      -> each task stamps dense fetch_seq =              — trace contract
+         shard start + shard-local index; rows
+         past a max_docs cap are dropped, and the
+         driver pushes them back to their shard
       -> bucketed fetch join vs pre-bucketed pages       — O19 ("fetch" S3)
       -> parse html, extract + canonicalize outlinks     — O6/O1
-      -> offer candidates back to shards                 — O20/O22 dedup
+      -> offer candidates, one call per shard per task   — O20/O22 dedup
       -> trace + metrics + per-shard checkpoint          — S6/S9, §4.3
 
 Durable state between rounds is ONLY the shard actors (checkpointed to
@@ -32,16 +37,18 @@ flight, and the next ``Crawler`` resets them in place (``CrawlShard.reset``
 re-runs the constructor), so re-crawls and resumes in one session skip
 the actor start-up. A crawl whose round raised, or that lost a shard,
 has its actors killed; a crawl in a fresh session spawns all S.
+``release_shards()`` kills the idle pooled actors.
 
-Scale notes (SURVEY §4): the per-round driver work is O(S + B) — shards
-are LEX-RANGE partitioned by host (state/shard.py::shard_of_hosts), so the
-global (host-lex, pop-order) trace order equals (shard_id, shard-local
-order) and the dense fetch_seq is stamped shard-locally from S
-prefix-summed counts; shards emit bucket-tagged pieces straight into the
-object store and each bucket's task receives its pieces as refs. No
-scheduled row ever passes through the driver, which gets back B counter
-dicts. The pages table (the 100-TB side) is shuffled exactly once at
-ingest (bucket_pages) and never moves again.
+Scale notes (SURVEY §4): the per-round driver work is O(S + G) refs —
+shards are LEX-RANGE partitioned by host (state/shard.py::shard_of_hosts),
+so the global (host-lex, pop-order) trace order equals (shard_id,
+shard-local order) and the dense fetch_seq is the shard's start (S
+prefix-summed counts) plus its shard-local row index, stamped in the
+tasks. Each shard puts its group-tagged pieces straight into the object
+store in the same call that pops them, and each group's task receives
+its pieces as refs. No scheduled row ever passes through the driver,
+which gets back G counter dicts. The pages table (the 100-TB side) is
+shuffled exactly once at ingest (bucket_pages) and never moves again.
 """
 
 from __future__ import annotations
@@ -171,6 +178,16 @@ class _ShardPool:
 _POOL = _ShardPool()
 
 
+def release_shards() -> None:
+    """Kill the idle pooled shard actors, ending their worker processes
+    before the Ray session does. The next crawl spawns fresh ones.
+    Handles of an earlier session are dropped, not killed."""
+    idle, _POOL.idle = _POOL.idle, []
+    if ray.is_initialized() and _POOL.session == _POOL._session():
+        for h in idle:
+            ray.kill(h)
+
+
 @dataclass
 class CrawlResult:
     out_dir: str
@@ -198,38 +215,69 @@ def read_trace(out_dir: str) -> pa.Table:
 
 
 class FetchTraceDiscover:
-    """One crawl round's work on ONE pages bucket, run as one Ray task:
-    fetch-join the bucket's scheduled rows against its pages bucket
-    (O19), write this bucket's trace part atomically (S9), extract +
-    store the parsed text of fetched pages (O6 + S8 stored copies, zstd
-    parquet), parse + canonicalize outlinks (O1/O3/O22-partial) and offer
-    them to their shards. Returns the bucket's counters."""
+    """One crawl round's work on ONE task group of pages buckets, run as
+    one Ray task. The task stamps each scheduled row's dense fetch_seq
+    (its shard's start + its shard-local index) and drops the rows a
+    max_docs cap cut. Then, per bucket: fetch-join the bucket's rows
+    against its pages bucket (O19), write the bucket's trace part
+    atomically (S9), extract + store the parsed text of fetched pages (O6
+    + S8 stored copies, zstd parquet) and parse + canonicalize outlinks
+    (O1/O3/O22-partial). The group's candidates go to their shards in one
+    offer per shard. Returns the group's counters. Built once per crawl;
+    the round's own arguments come with each call."""
 
-    def __init__(self, bucket_dir: str, trace_round_dir: str, rnd: int,
-                 max_hops: int, store_round_dir: str | None,
+    def __init__(self, bucket_dir: str, max_hops: int,
                  redirect_dir: str | None, shards: list, host_bounds):
         self.lookup = BucketLookup(bucket_dir, redirect_dir)
-        self.trace_dir = Path(trace_round_dir)
-        self.store_dir = Path(store_round_dir) if store_round_dir else None
-        self.rnd = rnd
         self.max_hops = max_hops
         self.shards = shards
         self.host_bounds = host_bounds
 
-    def __call__(self, *pieces: pa.Table) -> dict:
-        fetched = self.lookup(pa.concat_tables(pieces))
+    def __call__(self, rnd: int, trace_dir: str, store_dir: str | None,
+                 starts: list[int], limits: list[int] | None,
+                 *pieces: pa.Table) -> dict:
+        rows = pa.concat_tables(pieces)
+        shard = np.asarray(rows["shard"])
+        local = np.asarray(rows["local_seq"])
+        if limits is not None:
+            keep = local < np.asarray(limits)[shard]
+            rows = rows.filter(pa.array(keep))
+            shard, local = shard[keep], local[keep]
+        rows = rows.append_column(
+            "fetch_seq", pa.array(np.asarray(starts, np.int64)[shard] + local))
+        bucket = np.asarray(rows["bucket"])
+        n_200 = n_404 = 0
+        cands = []
+        for b in np.unique(bucket):
+            status, cand = self._bucket(
+                int(b), rows.filter(pa.array(bucket == b)), rnd,
+                Path(trace_dir), Path(store_dir) if store_dir else None)
+            n_200 += int(np.count_nonzero(status == 200))
+            n_404 += int(np.count_nonzero(status == 404))
+            cands.append(cand)
+        if not cands:             # the max_docs cap cut every row
+            return {"n_candidates": 0, "n_200": 0, "n_404": 0,
+                    "submitted": [0] * len(self.shards)}
+        cand = pa.concat_tables(cands)
+        return {"n_candidates": cand.num_rows, "n_200": n_200, "n_404": n_404,
+                "submitted": _offer(self.shards, self.host_bounds, cand)}
+
+    def _bucket(self, bucket: int, rows: pa.Table, rnd: int, trace_dir: Path,
+                store_dir: Path | None) -> tuple[np.ndarray, pa.Table]:
+        """One bucket's fetch, trace part, store part and discovery.
+        Returns the rows' statuses and the bucket's candidates."""
+        fetched = self.lookup(rows)
         status = np.asarray(fetched["status"])
-        bucket = int(fetched["bucket"][0].as_py())
         trace = fetched.select(
             ["fetch_seq", "url", "host", "depth", "discovery_seq", "status"])
         trace = trace.append_column(
-            "round", pa.array(np.full(trace.num_rows, self.rnd, np.int32)))
-        tmp = self.trace_dir / f".part-{bucket}.parquet.tmp"
+            "round", pa.array(np.full(trace.num_rows, rnd, np.int32)))
+        tmp = trace_dir / f".part-{bucket}.parquet.tmp"
         pq.write_table(trace.select(TRACE_COLS), tmp)
-        tmp.rename(self.trace_dir / f"part-{bucket}.parquet")
+        tmp.rename(trace_dir / f"part-{bucket}.parquet")
 
         parsed = None
-        if self.store_dir is not None:
+        if store_dir is not None:
             # Fused single HTML pass (VERDICT r2 #4): decode + noise-strip
             # each 200 body ONCE, producing the stored text AND the links
             # that parse_discover would otherwise re-extract.
@@ -253,20 +301,16 @@ class FetchTraceDiscover:
                 "url": ok["url"],
                 "text": pa.array(texts, pa.string()),
             })
-            tmp = self.store_dir / f".part-{bucket}.parquet.tmp"
+            tmp = store_dir / f".part-{bucket}.parquet.tmp"
             pq.write_table(store, tmp, compression="zstd")
-            tmp.rename(self.store_dir / f"part-{bucket}.parquet")
+            tmp.rename(store_dir / f"part-{bucket}.parquet")
 
-        cand = parse_discover(fetched, self.max_hops, parsed=parsed)
-        return {"n_candidates": cand.num_rows,
-                "n_200": int(np.count_nonzero(status == 200)),
-                "n_404": int(np.count_nonzero(status == 404)),
-                "submitted": _offer(self.shards, self.host_bounds, cand)}
+        return status, parse_discover(fetched, self.max_hops, parsed=parsed)
 
 
 @ray.remote
-def _fetch_trace_discover(stage: FetchTraceDiscover, *pieces: pa.Table) -> dict:
-    return stage(*pieces)
+def _fetch_trace_discover(stage: FetchTraceDiscover, *args) -> dict:
+    return stage(*args)
 
 
 class Crawler:
@@ -382,6 +426,16 @@ class Crawler:
         self.setup["shards_reused"] = reused
         t = self._phase("shards_sec", t)
 
+        # The round plan: one task per group of pages buckets (bucket % G),
+        # with G sized to the cluster's CPUs, read once per crawl. At a
+        # few pages per bucket the task is the cost, not the bucket. The
+        # tasks' crawl-constant stage is put once.
+        self.num_groups = max(1, min(self.cfg.num_page_buckets,
+                                     int(ray.cluster_resources().get("CPU", 1))))
+        self._stage = ray.put(FetchTraceDiscover(
+            self.bucket_dir, self.cfg.max_hops, self.redirect_dir,
+            self.shards, self.host_bounds))
+
         self.round = 0
         self.fetch_base = 0
         self.metrics: list[dict] = []
@@ -449,49 +503,52 @@ class Crawler:
         self.metrics = m.get("metrics", [])
 
     # ------------------------------------------------------------------ round
-    def _pop_blocks(self) -> tuple[list | None, int, float, float]:
-        """Distributed pop -> stamp -> per-bucket pieces. The driver sees
-        only S counts and O(S x B) ObjectRefs; fetch_seq is stamped
-        shard-locally (lex-range sharding makes shard-major order the
-        global host-lex order). Returns (each non-empty bucket's piece
-        refs, n_sched, counts seconds, emit seconds)."""
-        B = self.cfg.num_page_buckets
-        t0 = time.monotonic()
-        counts = ray.get([s.pop_round_count.remote() for s in self.shards])
-        t_counts = time.monotonic() - t0
-        total = int(sum(counts))
-        if total == 0:
-            return None, 0, t_counts, 0.0
-        limits = list(counts)
-        if self.cfg.max_docs:
-            remaining = self.cfg.max_docs - self.fetch_base
-            if remaining <= 0:  # cap already reached: return all pops to heaps
-                ray.get([s.stamp_emit.remote(0, 0, B) for s in self.shards])
-                return None, 0, t_counts, 0.0
-            run = 0
-            for i, c in enumerate(counts):
-                limits[i] = max(0, min(c, remaining - run))
-                run += c
-        starts = self.fetch_base + np.concatenate(
-            [[0], np.cumsum(counts[:-1], dtype=np.int64)])
-        t1 = time.monotonic()
-        emits = ray.get([
-            s.stamp_emit.remote(int(starts[i]), int(limits[i]), B)
-            for i, s in enumerate(self.shards)])
-        t_emit = time.monotonic() - t1
-        by_bucket: dict[int, list] = {}
-        for pieces in emits:
-            for b, ref in pieces:
-                by_bucket.setdefault(b, []).append(ref)
-        return ([refs for _, refs in sorted(by_bucket.items())],
-                int(sum(limits)), t_counts, t_emit)
+    def _limits(self, counts: list[int]) -> list[int] | None:
+        """Each shard's row limit under the max_docs cap (O32): the first
+        ``max_docs - fetch_base`` rows of the round in global fetch order.
+        None when the cap does not cut this round."""
+        if not self.cfg.max_docs:
+            return None
+        remaining = self.cfg.max_docs - self.fetch_base
+        if remaining >= sum(counts):
+            return None
+        limits, run = [], 0
+        for c in counts:
+            limits.append(max(0, min(c, remaining - run)))
+            run += c
+        return limits
 
     def run_round(self) -> dict | None:
+        """One round: one ``pop_emit`` call per shard, then one task per
+        non-empty task group, then the counted offer barrier. Returns the
+        round's metrics, or None when nothing was scheduled. The phase
+        seconds in the metrics:
+
+        - ``counts_sec``: the wait on the S ``pop_emit`` calls (pop, tag,
+          put one piece per group);
+        - ``emit_sec``: the wait on the ``push_back`` calls that return
+          the rows a binding max_docs cap cut; 0.0 when it does not bind;
+        - ``pipeline_sec``: the round tasks plus the offer barrier, and
+          ``barrier_sec`` the barrier alone.
+
+        ``tasks`` is the number of round tasks the round submitted."""
+        B, G = self.cfg.num_page_buckets, self.num_groups
         t0 = time.monotonic()
         self._offers_closed = False   # stays False if the round raises
-        buckets, n_sched, t_counts, t_emit = self._pop_blocks()
+        popped = ray.get([s.pop_emit.remote(B, G) for s in self.shards])
+        t_counts = time.monotonic() - t0
+        counts = [c for c, _, _ in popped]
+        base_prog = [p for _, p, _ in popped]
+        limits = self._limits(counts)
+        t_emit = 0.0
+        if limits is not None:
+            t1 = time.monotonic()
+            ray.get([s.push_back.remote(lim) for s, c, lim
+                     in zip(self.shards, counts, limits) if lim < c])
+            t_emit = time.monotonic() - t1
+        n_sched = sum(counts if limits is None else limits)
         t_pop = time.monotonic() - t0
-        if buckets is None:
+        if n_sched == 0:
             self._offers_closed = True
             return None
         rnd = self.round
@@ -515,30 +572,34 @@ class Crawler:
                     {"num_buckets": self.cfg.num_page_buckets,
                      "key": "abs(fnv1a64(url)) % num_buckets"}))
 
-        # Round body: one task per non-empty pages bucket, so the fetch
-        # join never shuffles. Each task gets its bucket's pieces as refs
-        # (zero-copy from the object store), fetches, writes its trace and
-        # store parts, discovers and offers, and returns four counters.
-        # Tasks are spread like Ray Data's own map tasks.
-        base_prog = ray.get([s.offer_progress.remote() for s in self.shards])
+        # Round body: one task per non-empty group, so the fetch join
+        # never shuffles. Each task gets its group's pieces as refs
+        # (zero-copy from the object store, in shard order), stamps
+        # fetch_seq from the shards' starts, fetches, writes one trace and
+        # one store part per bucket, discovers and offers, and returns four
+        # counters. Tasks are spread like Ray Data's own map tasks.
+        starts = np.cumsum([self.fetch_base, *counts[:-1]]).tolist()
+        groups: dict[int, list] = {}
+        for _, _, pieces in popped:
+            for g, ref in pieces:
+                groups.setdefault(g, []).append(ref)
         t1 = time.monotonic()
-        stage = ray.put(FetchTraceDiscover(
-            self.bucket_dir, str(trace_round_dir), rnd, self.cfg.max_hops,
-            store_round_dir, self.redirect_dir, self.shards,
-            self.host_bounds))
         task = _fetch_trace_discover.options(
             scheduling_strategy=DataContext.get_current().scheduling_strategy)
-        counts = ray.get([task.remote(stage, *refs) for refs in buckets])
+        args = (rnd, str(trace_round_dir), store_round_dir, starts, limits)
+        results = ray.get([task.remote(self._stage, *args, *refs)
+                           for refs in groups.values()])
         t_tasks = time.monotonic() - t1
-        prog = self._offer_barrier(base_prog, [r["submitted"] for r in counts])
+        prog = self._offer_barrier(base_prog, [r["submitted"] for r in results])
         self._offers_closed = True
         t_pipe = time.monotonic() - t1
         m = {
             "round": rnd,
             "scheduled": n_sched,
-            "fetched_200": sum(r["n_200"] for r in counts),
-            "fetched_404": sum(r["n_404"] for r in counts),
-            "candidates": sum(r["n_candidates"] for r in counts),
+            "tasks": len(groups),
+            "fetched_200": sum(r["n_200"] for r in results),
+            "fetched_404": sum(r["n_404"] for r in results),
+            "candidates": sum(r["n_candidates"] for r in results),
             "newly_discovered": int(sum(p[1] for p in prog)),
             "fetch_base": self.fetch_base,
             "wall_sec": round(time.monotonic() - t0, 4),

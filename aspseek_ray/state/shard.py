@@ -11,8 +11,11 @@ actor (url -> host is a function, so seen-by-url and frontier-by-host
 shard identically).
 Range (not hash) partitioning makes the global trace order
 (host-lex, pop-order) equal to (shard_id, shard-local order), so the dense
-``fetch_seq`` is stamped SHARD-LOCALLY from S prefix-summed counts — the
-driver never touches row data (the round path is O(S), fully distributed).
+``fetch_seq`` is a shard's start (S prefix-summed counts) plus a
+SHARD-LOCAL row index. A round costs one actor call per shard
+(``pop_emit``: pop, tag each row with that index, put one piece per task
+group), and the round tasks stamp fetch_seq — the driver never touches
+row data (the round path is O(S), fully distributed).
 The pool of S shards IS the explicit partitioning of the mutable crawl
 state (north_rule: 10^10-URL frontier = many shards across nodes; hot-host
 skew is bounded by the per-round budget; a backlogged host costs heap
@@ -164,7 +167,9 @@ class CrawlShard:
         # hash (fnv1a64 everywhere) so cuckoo insert/check stay consistent.
         self.staged: dict[str, tuple[int, int, str, int]] = {}
         self.heaps: dict[str, list] = {}       # host -> [(depth, seq, url, uh)]
-        self._popped: pa.Table | None = None   # held round slice (pop_round_count)
+        # the last round slice pop_emit handed out, held until the next
+        # pop so push_back can return the rows a max_docs cap cut
+        self._popped: pa.Table | None = None
         # backlog spill (SURVEY §4 hot-host sub-partitioning): a host's
         # in-memory heap is capped at cfg.host_heap_cap; the tail lives in
         # sorted parquet RUNS on disk. EXACT invariant: every in-heap entry
@@ -441,47 +446,41 @@ class CrawlShard:
         )
 
     # ------------------------------------------------- distributed round path
-    def pop_round_count(self) -> int:
-        """Phase 1 of the distributed round: pop this shard's round slice
-        and HOLD it; return only its row count. The driver prefix-sums the
-        S counts (O(S) work) and calls stamp_emit with this shard's global
-        start offset — no row ever passes through the driver."""
-        self._popped = self.pop_round()
-        return self._popped.num_rows
-
-    def stamp_emit(self, start_seq: int, limit: int, num_buckets: int) -> list:
-        """Phase 2: truncate the held slice to ``limit`` rows (max_docs cap,
-        O32 — overflow rows go straight back to their heaps), stamp the
-        dense global fetch_seq = start_seq + local row index, split by
-        pages-bucket and put each piece in the object store. Returns
-        [(bucket, ObjectRef), ...] — the driver only ships refs."""
+    def pop_emit(self, num_buckets: int, num_groups: int) -> tuple:
+        """The whole shard side of a distributed round, in one call: pop
+        this shard's round slice and HOLD it, tag each row with its
+        shard-local dense index ``local_seq``, its pages ``bucket`` and
+        this ``shard`` id, and put one piece per task group
+        (``bucket % num_groups``) in the object store. Returns (row count,
+        ``offer_progress()``, [(group, ObjectRef), ...]). The driver
+        prefix-sums the S counts and each round task stamps fetch_seq =
+        start of its shard + local_seq, so no row passes through the
+        driver."""
         import ray
 
-        t = self._popped
-        self._popped = None
-        if t is None or t.num_rows == 0:
-            return []
-        if limit < t.num_rows:
-            self.push_back(t.slice(limit))
-            t = t.slice(0, limit)
-        if t.num_rows == 0:
-            return []
-        t = t.append_column(
-            "fetch_seq",
-            pa.array(start_seq + np.arange(t.num_rows, dtype=np.int64)))
-        bucket = (np.abs(np.asarray(t["url_hash"], dtype=np.int64))
-                  % num_buckets).astype(np.int32)
-        t = t.append_column("bucket", pa.array(bucket))
+        self._popped = t = self.pop_round()
         out = []
-        for b in np.unique(bucket):
-            piece = t.filter(pa.array(bucket == b)).combine_chunks()
-            out.append((int(b), ray.put(piece)))
-        return out
+        if t.num_rows:
+            bucket = (np.abs(np.asarray(t["url_hash"], dtype=np.int64))
+                      % num_buckets).astype(np.int32)
+            group = bucket % num_groups
+            t = t.append_column(
+                "local_seq", pa.array(np.arange(t.num_rows, dtype=np.int64)))
+            t = t.append_column("bucket", pa.array(bucket))
+            t = t.append_column(
+                "shard", pa.array(np.full(t.num_rows, self.shard_id, np.int32)))
+            for g in np.unique(group):
+                piece = t.filter(pa.array(group == g)).combine_chunks()
+                out.append((int(g), ray.put(piece)))
+        return t.num_rows, self.offer_progress(), out
 
-    def push_back(self, batch: pa.Table) -> None:
-        """Return urls cut by the max_docs cap to their heaps (O32). Popped
-        entries always order before any spilled entry (they came out of the
-        heap), so a plain push preserves the spill invariant."""
+    def push_back(self, start: int) -> None:
+        """Return the held round slice's rows from local index ``start``
+        on to their heaps: the rows the max_docs cap (O32) cut from the
+        round. Popped entries always order before any spilled entry (they
+        came out of the heap), so a plain push preserves the spill
+        invariant."""
+        batch, self._popped = self._popped.slice(start), None
         touched = set()
         for host, url, depth, seq, uh in zip(batch["host"].to_pylist(),
                                              batch["url"].to_pylist(),

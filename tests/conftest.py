@@ -82,13 +82,6 @@ def release_pooled_shards():
     (Ray prints a worker-count warning to the driver's stdout when they
     pass 4x num_cpus, which the CLI output tests would read)."""
     yield
-    import sys
-
     crawl = sys.modules.get("aspseek_ray.pipelines.crawl")
-    if crawl is None or not crawl._POOL.idle:
-        return
-    import ray
-
-    for h in crawl._POOL.idle:
-        ray.kill(h)
-    crawl._POOL.idle = []
+    if crawl is not None:
+        crawl.release_shards()

@@ -230,13 +230,98 @@ def test_new_session_spawns_every_shard(ray_session, corpus, tmp_path,
         c.shutdown()
 
 
-def test_max_docs_cap(ray_session, corpus, tmp_path):
-    cfg = CrawlConfig(max_rounds=10, num_shards=4, num_page_buckets=8, max_docs=17)
+def _cap_at(corpus: str, golden, where) -> int:
+    """A max_docs value from the golden trace: an int as is, or a cap
+    that lands one row into the first non-empty shard's slice of a round
+    (``inside_shard``), or exactly at the end of that slice, with more
+    shards' rows after it (``shard_boundary``). The shard of a row comes
+    from the cut points a crawl of this corpus derives."""
+    if isinstance(where, int):
+        return where
+    from aspseek_ray.functions.url import host_of
+    from aspseek_ray.state.shard import host_shard_bounds, shard_of_hosts
+
+    hosts = [host_of(u) for u in
+             pq.read_table(f"{corpus}/seeds.parquet")["url"].to_pylist()]
+    hosts += pq.read_table(f"{corpus}/robots.parquet")["host"].to_pylist()
+    bounds = host_shard_bounds(hosts, CFG.num_shards)
+    for rnd in range(1, golden.trace[-1]["round"] + 1):
+        rows = [r for r in golden.trace if r["round"] == rnd]
+        shard = shard_of_hosts(bounds, [r["host"] for r in rows]).tolist()
+        first = shard.count(shard[0])
+        if first >= 2 and first < len(rows):
+            return rows[0]["fetch_seq"] + (1 if where == "inside_shard"
+                                           else first)
+    raise AssertionError("no round with two shards' rows")
+
+
+@pytest.mark.parametrize("where", ["inside_shard", "shard_boundary", 17])
+def test_max_docs_cap(ray_session, corpus, golden, tmp_path, where):
+    """The max_docs cap cuts a round inside a shard's slice, at a shard
+    boundary, or at 17; the round tasks drop the rows past it,
+    and the crawl still matches ref_sim's trace and seen set."""
+    max_docs = _cap_at(corpus, golden, where)
+    cfg = CrawlConfig(max_rounds=10, num_shards=4, num_page_buckets=8,
+                      max_docs=max_docs)
     pages, seeds, robots, redirects = load_corpus(corpus)
     want = simulate(pages, seeds, robots, cfg, redirects)
     res = run_crawl(corpus, str(tmp_path / "out"), cfg)
-    assert res.total_fetched == 17
-    assert res.trace_table().to_pylist() == want.trace
+    assert res.total_fetched == max_docs
+    _assert_golden(res, want)
+    # the rows the cap cut went back to their shards' frontiers: the cap
+    # round's checkpoint holds every url the uncapped round fetched past
+    # the cap
+    rnd = want.trace[-1]["round"]
+    cut = {r["url"] for r in golden.trace
+           if r["round"] == rnd and r["fetch_seq"] >= max_docs}
+    ckpt = tmp_path / "out" / "checkpoints" / f"round={rnd}"
+    front = {u for f in ckpt.glob("shard=*/frontier.parquet")
+             for u in pq.read_table(f, columns=["url"])["url"].to_pylist()}
+    assert cut and cut <= front
+
+
+def test_round_layout(ray_session, corpus, golden, tmp_path):
+    """Each round runs one task per non-empty task group (bucket % G, G =
+    min(buckets, session CPUs)), so never more tasks than CPUs or than
+    non-empty buckets, and still writes exactly one trace part and one
+    store part per non-empty bucket; the crawl matches ref_sim."""
+    from aspseek_ray.functions.hashing import fnv1a64
+
+    B = CFG.num_page_buckets
+    cpus = int(ray.cluster_resources()["CPU"])
+    G = min(B, cpus)
+    out = tmp_path / "out"
+    res = run_crawl(corpus, str(out), CFG)
+    trace = res.trace_table()
+    for m in res.metrics:
+        rnd = m["round"]
+        urls = trace.filter(pc.equal(trace["round"], rnd))["url"].to_pylist()
+        buckets = {abs(fnv1a64(u)) % B for u in urls}
+        assert m["tasks"] == len({b % G for b in buckets}), m
+        assert m["tasks"] <= min(cpus, len(buckets)), m
+        parts = {f"part-{b}.parquet" for b in buckets}
+        for d in ("trace", "store"):
+            got = {f.name for f in (out / d / f"round={rnd}").iterdir()}
+            assert got == parts, (d, rnd)
+    assert max(m["tasks"] for m in res.metrics) > 1
+    _assert_golden(res, golden)
+
+
+def test_release_shards(ray_session, corpus, tmp_path):
+    """``release_shards`` kills the idle pooled shard actors: the pool is
+    empty afterwards and a released handle fails its next call."""
+    crawl.release_shards()
+    c = Crawler(corpus, str(tmp_path / "out"), CFG)
+    c.shutdown()
+    released = list(crawl._POOL.idle)
+    assert len(released) == CFG.num_shards
+    crawl.release_shards()
+    assert crawl._POOL.idle == []
+    deadline = time.monotonic() + 30
+    with pytest.raises(ray.exceptions.RayActorError):
+        while time.monotonic() < deadline:
+            ray.get(released[0].offer_progress.remote())
+            time.sleep(0.05)
 
 
 def test_round_counters_reconcile(ray_session, corpus, tmp_path):

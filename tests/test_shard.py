@@ -1,7 +1,11 @@
-"""CrawlShard unit tests — driven as a plain class (no cluster):
-arrival-order independence, politeness budgets, robots, snapshot/restore."""
+"""CrawlShard unit tests — driven as a plain class: arrival-order
+independence, politeness budgets, robots, snapshot/restore, and the round
+call ``pop_emit`` (which puts its pieces in the object store, so those
+tests run in the Ray session)."""
 
+import numpy as np
 import pyarrow as pa
+import ray
 
 from aspseek_ray.config import CrawlConfig
 from aspseek_ray.state.shard import CrawlShard
@@ -101,7 +105,51 @@ def test_snapshot_restore_roundtrip(tmp_path):
     assert r.offer(_cand([("http://a.example/1", "a.example", 0, 99)])) == 0
 
 
-def test_reset_leaves_no_state_of_the_previous_crawl(tmp_path):
+def _emitted_urls(pieces, num_buckets: int, num_groups: int,
+                  shard_id: int) -> list[str]:
+    """The urls of ``pop_emit`` pieces in shard-local index order, after
+    checking each row's tags: its bucket, its piece's group and its
+    shard id, and that the local index is dense from 0 to n-1."""
+    from aspseek_ray.functions.hashing import fnv1a64
+
+    groups = [g for g, _ in pieces]
+    assert len(groups) == len(set(groups))
+    rows = []
+    for g, ref in pieces:
+        piece = ray.get(ref)
+        urls = piece["url"].to_pylist()
+        for u, b in zip(urls, piece["bucket"].to_pylist()):
+            assert b == abs(fnv1a64(u)) % num_buckets and b % num_groups == g
+        assert set(piece["shard"].to_pylist()) == {shard_id}
+        rows += zip(piece["local_seq"].to_pylist(), urls)
+    rows.sort()
+    assert [i for i, _ in rows] == list(range(len(rows)))
+    return [u for _, u in rows]
+
+
+def test_pop_emit_tags_groups_and_pushes_back(ray_session):
+    """``pop_emit`` pops the round once, tags every row with a dense
+    shard-local index, its pages bucket and the shard id, puts one piece
+    per task group (bucket % G), and returns the shard's offer progress.
+    Pushing back the whole held slice makes the next pop return the same
+    urls in the same order."""
+    B, G = 8, 3
+    s = CrawlShard(2, CrawlConfig(per_host_per_round=3))
+    s.offer(_cand([(f"http://h{h}.example/p{i}", f"h{h}.example", 0, 10 * h + i)
+                   for h in range(6) for i in range(5)]))
+    n, prog, pieces = s.pop_emit(B, G)
+    assert prog == s.offer_progress() == (1, 0)
+    urls = _emitted_urls(pieces, B, G, 2)
+    assert n == len(urls) == 18
+    # the local index is the pop order: hosts in lex order, 3 pops each
+    assert urls[:3] == [f"http://h0.example/p{i}" for i in range(3)]
+
+    s.push_back(0)                # a max_docs cap that cuts the whole round
+    n2, _, pieces2 = s.pop_emit(B, G)
+    assert n2 == n and _emitted_urls(pieces2, B, G, 2) == urls
+
+
+def test_reset_leaves_no_state_of_the_previous_crawl(ray_session, tmp_path):
     """A shard driven through offers, pops, a heap spill and a max_docs
     push-back, then reset with another shard id, config and robots rows,
     is indistinguishable from a freshly constructed shard."""
@@ -112,8 +160,8 @@ def test_reset_leaves_no_state_of_the_previous_crawl(tmp_path):
     used.pop_round()
     assert used.spill_runs                    # the tiny cap spilled
     used.offer(_cand([("http://b.example/x", "b.example", 0, 99)]))
-    assert used.pop_round_count() > 0
-    assert used.stamp_emit(0, 0, 4) == []     # max_docs cap: all pushed back
+    assert used.pop_emit(4, 2)[0] > 0
+    used.push_back(0)                         # max_docs cap: all pushed back
     assert used.seen and used.pending() and used.n_offered
 
     robots = pa.table({
