@@ -12,10 +12,15 @@ shard identically).
 Range (not hash) partitioning makes the global trace order
 (host-lex, pop-order) equal to (shard_id, shard-local order), so the dense
 ``fetch_seq`` is a shard's start (S prefix-summed counts) plus a
-SHARD-LOCAL row index. A round costs one actor call per shard
-(``pop_emit``: pop, tag each row with that index, put one piece per task
-group), and the round tasks stamp fetch_seq — the driver never touches
-row data (the round path is O(S), fully distributed).
+SHARD-LOCAL row index. A round costs two actor calls per shard, both
+made by the driver: ``pop_emit`` pops, tags each row with that index and
+returns one piece per task group as its own return value (the round
+tasks stamp fetch_seq), and ``offer_round`` stages the candidates the
+round's tasks returned for the shard. Only the driver calls a shard, so
+Ray's per-caller order of actor calls puts every offer of a round before
+the next pop, snapshot or reset. The shard puts nothing in the object
+store itself and calls no other actor; the driver passes refs and reads
+no row.
 The pool of S shards IS the explicit partitioning of the mutable crawl
 state (north_rule: 10^10-URL frontier = many shards across nodes; hot-host
 skew is bounded by the per-round budget; a backlogged host costs heap
@@ -30,7 +35,8 @@ with new bounds).
 Determinism contract (matches tests/ref_sim.py exactly):
   * offers for round K+1 arrive between ``pop_round`` K and K+1 and are
     STAGED: per url the offer with the smallest discovery_seq wins,
-    regardless of arrival order (Ray tasks deliver batches in any order);
+    regardless of the order of the batches (a round's tasks finish in any
+    order);
   * ``pop_round`` flushes staging into per-host heaps, then pops up to the
     host's effective budget (crawl-delay aware) in (depth, discovery_seq)
     order;
@@ -105,9 +111,9 @@ def host_range_filter(lo: str | None, hi: str | None):
 
 
 class CrawlShard:
-    """Instantiate as ray.remote(CrawlShard).remote(...) — plain class here
-    so unit tests can drive it without a cluster. A pooled actor serves
-    its next crawl through ``reset``."""
+    """Run as a Ray actor (``ray.remote(CrawlShard)``); a plain class
+    here so unit tests can drive it without a cluster. A pooled actor
+    serves its next crawl through ``reset``."""
 
     def __init__(self, shard_id: int, cfg: CrawlConfig,
                  robots_rows: pa.Table | None = None,
@@ -183,9 +189,9 @@ class CrawlShard:
         self.overflow: dict[str, list] = {}           # host -> pending >= spill_min
         self._run_seq = 0
         self.n_offered = 0
-        self.n_offer_batches = 0
         self.n_rejected_seen = 0
         self.n_rejected_filtered = 0
+        self.n_dup_in_round = 0               # offers of a url already staged
 
     def reset(self, *args, **kwargs) -> None:
         """Take the constructor's arguments and re-run it in place, so a
@@ -196,12 +202,17 @@ class CrawlShard:
         self.__init__(*args, **kwargs)
 
     # ------------------------------------------------------------------ offer
-    def offer_progress(self) -> tuple[int, int]:
-        """(offer batches processed, urls newly staged) — the round
-        barrier: the driver polls until every submitted offer batch has
-        been processed (offers are fire-and-forget from the fetch tasks so
-        worker slots never block on a busy shard actor)."""
-        return self.n_offer_batches, len(self.staged)
+    def offer_round(self, *batches: pa.Table | None) -> dict:
+        """Stage one round's candidates for this shard: the tables the
+        round's tasks (or the seed pass's tasks) returned for it, None
+        where a task had none. The driver makes this one call per shard
+        per round. Returns the call's counters, where ``offered`` =
+        ``rejected_seen + rejected_filtered + staged + dup_in_round``."""
+        before = self._counters()
+        staged = sum(self.offer(b) for b in batches if b is not None)
+        out = {k: v - before[k] for k, v in self._counters().items()}
+        out["staged"] = staged
+        return out
 
     def offer(self, batch: pa.Table) -> int:
         """Stage candidate urls (columns url, url_hash, host, depth,
@@ -214,7 +225,6 @@ class CrawlShard:
         path after resume)."""
         n = batch.num_rows
         self.n_offered += n
-        self.n_offer_batches += 1
         if n == 0:
             return 0
         batch = batch.combine_chunks()
@@ -288,8 +298,10 @@ class CrawlShard:
             if cur is None:
                 staged[url] = (depths_l[i], seq, host, hashes_l[i])
                 n_new += 1
-            elif seq < cur[1]:
-                staged[url] = (depths_l[i], seq, host, hashes_l[i])
+            else:
+                self.n_dup_in_round += 1
+                if seq < cur[1]:
+                    staged[url] = (depths_l[i], seq, host, hashes_l[i])
         return n_new
 
     @staticmethod
@@ -447,19 +459,19 @@ class CrawlShard:
 
     # ------------------------------------------------- distributed round path
     def pop_emit(self, num_buckets: int, num_groups: int) -> tuple:
-        """The whole shard side of a distributed round, in one call: pop
-        this shard's round slice and HOLD it, tag each row with its
+        """The shard side of a distributed round's schedule, in one call:
+        pop this shard's round slice and HOLD it, tag each row with its
         shard-local dense index ``local_seq``, its pages ``bucket`` and
-        this ``shard`` id, and put one piece per task group
-        (``bucket % num_groups``) in the object store. Returns (row count,
-        ``offer_progress()``, [(group, ObjectRef), ...]). The driver
-        prefix-sums the S counts and each round task stamps fetch_seq =
-        start of its shard + local_seq, so no row passes through the
-        driver."""
-        import ray
-
+        this ``shard`` id, and cut one piece per task group
+        (``bucket % num_groups``). Returns ``(count, groups)`` (the row
+        count and the non-empty groups), then the ``num_groups`` pieces,
+        None for an empty group. The driver calls it with
+        ``num_returns=num_groups + 1``, so each piece is a return value
+        it owns and hands on to its group's task unread; it prefix-sums
+        the S counts and each round task stamps fetch_seq = start of its
+        shard + local_seq."""
         self._popped = t = self.pop_round()
-        out = []
+        pieces = [None] * num_groups
         if t.num_rows:
             bucket = (np.abs(np.asarray(t["url_hash"], dtype=np.int64))
                       % num_buckets).astype(np.int32)
@@ -470,9 +482,9 @@ class CrawlShard:
             t = t.append_column(
                 "shard", pa.array(np.full(t.num_rows, self.shard_id, np.int32)))
             for g in np.unique(group):
-                piece = t.filter(pa.array(group == g)).combine_chunks()
-                out.append((int(g), ray.put(piece)))
-        return t.num_rows, self.offer_progress(), out
+                pieces[g] = t.filter(pa.array(group == g)).combine_chunks()
+        groups = [g for g, p in enumerate(pieces) if p is not None]
+        return (t.num_rows, groups), *pieces
 
     def push_back(self, start: int) -> None:
         """Return the held round slice's rows from local index ``start``
@@ -498,15 +510,19 @@ class CrawlShard:
                 + sum(self.spill_rows.values())
                 + sum(len(o) for o in self.overflow.values()))
 
+    def _counters(self) -> dict:
+        return {"offered": self.n_offered,
+                "rejected_seen": self.n_rejected_seen,
+                "rejected_filtered": self.n_rejected_filtered,
+                "dup_in_round": self.n_dup_in_round}
+
     def stats(self) -> dict:
         return {
             "shard": self.shard_id,
             "seen": len(self.seen),
             "pending": self.pending(),
             "hosts": len(self.heaps),
-            "offered": self.n_offered,
-            "rejected_seen": self.n_rejected_seen,
-            "rejected_filtered": self.n_rejected_filtered,
+            **self._counters(),
             "cuckoo_load": self.cuckoo.count / (self.cuckoo.n_buckets * 4),
         }
 

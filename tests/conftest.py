@@ -65,7 +65,7 @@ def kill_shards():
         for h in handles:
             while True:
                 try:
-                    ray.get(h.offer_progress.remote())
+                    ray.get(h.stats.remote())
                 except ray.exceptions.RayActorError:
                     break
                 assert time.monotonic() < deadline, "killed shard still answers"

@@ -307,6 +307,15 @@ def test_round_layout(ray_session, corpus, golden, tmp_path):
     _assert_golden(res, golden)
 
 
+def _assert_dies(handle) -> None:
+    """The shard actor behind ``handle`` fails a call within 30 s."""
+    deadline = time.monotonic() + 30
+    with pytest.raises(ray.exceptions.RayActorError):
+        while time.monotonic() < deadline:
+            ray.get(handle.stats.remote())
+            time.sleep(0.05)
+
+
 def test_release_shards(ray_session, corpus, tmp_path):
     """``release_shards`` kills the idle pooled shard actors: the pool is
     empty afterwards and a released handle fails its next call."""
@@ -317,11 +326,31 @@ def test_release_shards(ray_session, corpus, tmp_path):
     assert len(released) == CFG.num_shards
     crawl.release_shards()
     assert crawl._POOL.idle == []
-    deadline = time.monotonic() + 30
-    with pytest.raises(ray.exceptions.RayActorError):
-        while time.monotonic() < deadline:
-            ray.get(released[0].offer_progress.remote())
-            time.sleep(0.05)
+    _assert_dies(released[0])
+
+
+def test_pool_keeps_the_last_crawls_shards(ray_session, corpus, tmp_path):
+    """Crawls with S = 4, then 2, then 3 in one session, with no
+    ``release_shards`` between them: after each crawl the pool holds
+    exactly that crawl's S actors, and every idle actor the pool trimmed
+    fails its next call."""
+    trimmed = []
+    for i, S in enumerate((4, 2, 3)):
+        before = list(crawl._POOL.idle)
+        c = Crawler(corpus, str(tmp_path / f"out{i}"),
+                    CrawlConfig(max_rounds=2, num_shards=S,
+                                num_page_buckets=8))
+        ids = _actor_ids(c.shards)
+        try:
+            c.run()
+        finally:
+            c.shutdown()
+        assert len(crawl._POOL.idle) == S
+        assert _actor_ids(crawl._POOL.idle) == ids
+        trimmed += [h for h in before if h._actor_id.hex() not in ids]
+    assert len(trimmed) == 2
+    for h in trimmed:
+        _assert_dies(h)
 
 
 def test_round_counters_reconcile(ray_session, corpus, tmp_path):
@@ -357,15 +386,41 @@ def test_round_counters_reconcile(ray_session, corpus, tmp_path):
     assert c.round > 2 and statuses == {200, 301, 404}, (c.round, statuses)
 
 
+def test_shard_offer_counters(ray_session, corpus, golden, tmp_path):
+    """Every round's ``shard_offers`` in metrics.json, one counter dict
+    per shard from its one offer call, account for each offer: offered =
+    rejected_seen + rejected_filtered + staged + dup_in_round on every
+    shard, and the shard sums equal the round's ``candidates`` and
+    ``newly_discovered``."""
+    out = tmp_path / "out"
+    res = run_crawl(corpus, str(out), CFG)
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics == res.metrics
+    keys = {"offered", "rejected_seen", "rejected_filtered", "staged",
+            "dup_in_round"}
+    for m in metrics:
+        offers = m["shard_offers"]
+        assert len(offers) == CFG.num_shards, m
+        for o in offers:
+            assert set(o) == keys, m
+            assert o["offered"] == (o["rejected_seen"] + o["rejected_filtered"]
+                                    + o["staged"] + o["dup_in_round"]), m
+        assert sum(o["offered"] for o in offers) == m["candidates"], m
+        assert sum(o["staged"] for o in offers) == m["newly_discovered"], m
+    for k in keys:    # the corpus exercises every outcome
+        assert any(o[k] for m in metrics for o in m["shard_offers"]), k
+    _assert_golden(res, golden)
+
+
 @pytest.mark.parametrize("when", ["between_rounds", "mid_round"])
 def test_shard_loss_fails_fast_and_resumes(ray_session, corpus, golden,
-                                           tmp_path, when):
-    """A shard actor lost between rounds, or in round 3 after the bucket
-    tasks have offered to the shards, makes that round raise a Ray actor
-    error at once (not after the 600 s offer barrier); shutdown after
-    the loss returns cleanly and kills the crawl's shards rather than
-    pool them, and a resume from LATEST.json, on other actors,
-    reproduces the golden trace and seen set."""
+                                           tmp_path, kill_shards, when):
+    """A shard actor lost between rounds, or in round 3 after the round's
+    tasks have returned candidates for it and before its offer call runs,
+    makes that round raise a Ray actor error at once; shutdown after the
+    loss returns cleanly and kills the crawl's shards rather than pool
+    them, and a resume from LATEST.json, on other actors, reproduces the
+    golden trace and seen set."""
     out = str(tmp_path / "out")
     c1 = Crawler(corpus, out, CFG)
     for _ in range(3):
@@ -375,20 +430,22 @@ def test_shard_loss_fails_fast_and_resumes(ray_session, corpus, golden,
     if when == "between_rounds":
         ray.kill(c1.shards[1])
     else:
-        barrier = c1._offer_barrier
+        offer_round = c1._offer_round
 
-        def kill_then_wait(base_prog, submitted):
-            offered.extend(submitted)
-            ray.kill(c1.shards[1])
-            return barrier(base_prog, submitted)
+        def kill_then_offer(cands):
+            # the round's tasks have returned shard 1's candidate tables
+            tables = ray.get([c[1] for c in cands])
+            offered.append(sum(t.num_rows for t in tables if t is not None))
+            kill_shards([c1.shards[1]])
+            return offer_round(cands)
 
-        c1._offer_barrier = kill_then_wait
+        c1._offer_round = kill_then_offer
     t0 = time.monotonic()
     with pytest.raises(ray.exceptions.RayActorError):
         c1.run_round()
     assert time.monotonic() - t0 < 30
     if when == "mid_round":
-        assert c1.round == 3 and sum(sub[1] for sub in offered) > 0, offered
+        assert c1.round == 3 and offered[0] > 0, offered
     t0 = time.monotonic()
     c1.shutdown()
     assert time.monotonic() - t0 < 30

@@ -1,11 +1,9 @@
-"""CrawlShard unit tests — driven as a plain class: arrival-order
-independence, politeness budgets, robots, snapshot/restore, and the round
-call ``pop_emit`` (which puts its pieces in the object store, so those
-tests run in the Ray session)."""
+"""CrawlShard unit tests — driven as a plain class, without a Ray
+session: arrival-order independence, politeness budgets, robots,
+snapshot/restore, the round calls ``pop_emit`` (its pieces are plain
+return values) and ``offer_round`` (its counters), and ``reset``."""
 
-import numpy as np
 import pyarrow as pa
-import ray
 
 from aspseek_ray.config import CrawlConfig
 from aspseek_ray.state.shard import CrawlShard
@@ -105,51 +103,82 @@ def test_snapshot_restore_roundtrip(tmp_path):
     assert r.offer(_cand([("http://a.example/1", "a.example", 0, 99)])) == 0
 
 
-def _emitted_urls(pieces, num_buckets: int, num_groups: int,
+def test_offer_round_counters():
+    """``offer_round`` stages several tables in one call and returns its
+    counters: every offered url is rejected as seen, rejected by a
+    filter, newly staged, or a duplicate of a url staged this round."""
+    s = CrawlShard(0, CrawlConfig(max_hops=2))
+    s.offer(_cand([("http://h.example/old", "h.example", 0, 1)]))
+    s.pop_round()
+    c = s.offer_round(
+        _cand([("http://h.example/a", "h.example", 1, 20),
+               ("http://h.example/old", "h.example", 1, 21),      # seen
+               ("http://h.example/deep", "h.example", 3, 22)]),   # depth
+        None,
+        _cand([("http://h.example/a", "h.example", 1, 10),        # dup
+               ("http://h.example/b", "h.example", 1, 11)]))
+    assert c == {"offered": 5, "rejected_seen": 1, "rejected_filtered": 1,
+                 "dup_in_round": 1, "staged": 2}
+    assert s.stats()["dup_in_round"] == 1
+    assert s.pop_round()["discovery_seq"].to_pylist() == [10, 11]
+
+
+def _emitted_urls(out, num_buckets: int, num_groups: int,
                   shard_id: int) -> list[str]:
-    """The urls of ``pop_emit`` pieces in shard-local index order, after
-    checking each row's tags: its bucket, its piece's group and its
-    shard id, and that the local index is dense from 0 to n-1."""
+    """The urls of a ``pop_emit`` result in shard-local index order,
+    after checking its shape (``(count, groups)`` then one ``pa.Table``
+    piece per group, None for an empty group) and each row's tags: its
+    bucket, its piece's group and its shard id, and that the local index
+    is dense from 0 to n-1."""
     from aspseek_ray.functions.hashing import fnv1a64
 
-    groups = [g for g, _ in pieces]
-    assert len(groups) == len(set(groups))
+    (n, groups), *pieces = out
+    assert len(pieces) == num_groups
+    assert groups == [g for g, p in enumerate(pieces) if p is not None]
     rows = []
-    for g, ref in pieces:
-        piece = ray.get(ref)
+    for g in groups:
+        piece = pieces[g]
+        assert isinstance(piece, pa.Table)
         urls = piece["url"].to_pylist()
         for u, b in zip(urls, piece["bucket"].to_pylist()):
             assert b == abs(fnv1a64(u)) % num_buckets and b % num_groups == g
         assert set(piece["shard"].to_pylist()) == {shard_id}
         rows += zip(piece["local_seq"].to_pylist(), urls)
     rows.sort()
-    assert [i for i, _ in rows] == list(range(len(rows)))
+    assert [i for i, _ in rows] == list(range(len(rows))) == list(range(n))
     return [u for _, u in rows]
 
 
-def test_pop_emit_tags_groups_and_pushes_back(ray_session):
+def test_pop_emit_tags_groups_and_pushes_back():
     """``pop_emit`` pops the round once, tags every row with a dense
-    shard-local index, its pages bucket and the shard id, puts one piece
-    per task group (bucket % G), and returns the shard's offer progress.
-    Pushing back the whole held slice makes the next pop return the same
-    urls in the same order."""
+    shard-local index, its pages bucket and the shard id, and returns
+    the count and the non-empty groups, then one piece per task group
+    (bucket % G) as a ``pa.Table``, or None for an empty group. Pushing
+    back the whole held slice makes the next pop return the same urls in
+    the same order."""
     B, G = 8, 3
     s = CrawlShard(2, CrawlConfig(per_host_per_round=3))
     s.offer(_cand([(f"http://h{h}.example/p{i}", f"h{h}.example", 0, 10 * h + i)
                    for h in range(6) for i in range(5)]))
-    n, prog, pieces = s.pop_emit(B, G)
-    assert prog == s.offer_progress() == (1, 0)
-    urls = _emitted_urls(pieces, B, G, 2)
-    assert n == len(urls) == 18
+    out = s.pop_emit(B, G)
+    urls = _emitted_urls(out, B, G, 2)
+    assert out[0][0] == len(urls) == 18
     # the local index is the pop order: hosts in lex order, 3 pops each
     assert urls[:3] == [f"http://h0.example/p{i}" for i in range(3)]
 
     s.push_back(0)                # a max_docs cap that cuts the whole round
-    n2, _, pieces2 = s.pop_emit(B, G)
-    assert n2 == n and _emitted_urls(pieces2, B, G, 2) == urls
+    out2 = s.pop_emit(B, G)
+    assert out2[0][0] == 18 and _emitted_urls(out2, B, G, 2) == urls
+
+    # one url: one bucket, so every other group's piece is None
+    one = CrawlShard(0, CrawlConfig())
+    one.offer(_cand([("http://h.example/x", "h.example", 0, 1)]))
+    out3 = one.pop_emit(B, G)
+    assert _emitted_urls(out3, B, G, 0) == ["http://h.example/x"]
+    assert sum(p is None for p in out3[1:]) == G - 1
 
 
-def test_reset_leaves_no_state_of_the_previous_crawl(ray_session, tmp_path):
+def test_reset_leaves_no_state_of_the_previous_crawl(tmp_path):
     """A shard driven through offers, pops, a heap spill and a max_docs
     push-back, then reset with another shard id, config and robots rows,
     is indistinguishable from a freshly constructed shard."""
@@ -160,7 +189,7 @@ def test_reset_leaves_no_state_of_the_previous_crawl(ray_session, tmp_path):
     used.pop_round()
     assert used.spill_runs                    # the tiny cap spilled
     used.offer(_cand([("http://b.example/x", "b.example", 0, 99)]))
-    assert used.pop_emit(4, 2)[0] > 0
+    assert used.pop_emit(4, 2)[0][0] > 0
     used.push_back(0)                         # max_docs cap: all pushed back
     assert used.seen and used.pending() and used.n_offered
 
