@@ -111,7 +111,7 @@ def _cmd_crawl_search(args: argparse.Namespace) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     from aspseek_ray.pipelines.index_products import (
-        build_postings, merge_postings, update_postings_index)
+        build_postings, merge_postings, update_postings_index_staged)
 
     if args.update and not args.index_dir:
         raise SystemExit("index --update requires --index-dir")
@@ -120,20 +120,11 @@ def _cmd_index(args: argparse.Namespace) -> int:
     _ensure_ray(args.ray_address)
     if args.update:
         # incremental delta->main refresh (reference `index` real-time
-        # update): fold one crawl round's store into the EXISTING
-        # bucketed index at --index-dir without rebuilding
-        if args.staged:
-            from aspseek_ray.pipelines.index_products import (
-                update_postings_index_staged)
-
-            r = update_postings_index_staged(
-                args.index_dir, args.pages,
-                fold_threshold=args.fold_threshold)
-            print(json.dumps({"index_dir": args.index_dir, **r}))
-            return 0
-        touched = update_postings_index(args.index_dir, args.pages)
-        print(json.dumps({"index_dir": args.index_dir,
-                          "buckets_rewritten": touched}))
+        # update): stage one crawl round's store into the EXISTING
+        # bucketed index at --index-dir, folding past --fold-threshold
+        r = update_postings_index_staged(
+            args.index_dir, args.pages, fold_threshold=args.fold_threshold)
+        print(json.dumps({"index_dir": args.index_dir, **r}))
         return 0
     if args.index_dir:
         # initial bucketed (raw, mergeable) index build
@@ -232,12 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     ix.add_argument("--index-dir",
                     help="bucketed raw index dir (build, or target of --update)")
     ix.add_argument("--update", action="store_true",
-                    help="incrementally fold --pages into --index-dir")
-    ix.add_argument("--staged", action="store_true",
-                    help="with --update: stage the delta and fold only "
-                         "past --fold-threshold (S7 delta-file model)")
-    ix.add_argument("--fold-threshold", type=float, default=0.1,
-                    help="staged rows / main rows ratio that triggers a fold")
+                    help="incrementally stage --pages into --index-dir "
+                         "(S7 delta-file model)")
+    ix.add_argument("--fold-threshold", type=float, default=0.0,
+                    help="with --update: staged rows / main rows ratio "
+                         "that triggers a fold (0 folds every update)")
     ix.set_defaults(fn=_cmd_index)
 
     sd = sub.add_parser("searchd",

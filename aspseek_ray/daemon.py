@@ -13,14 +13,14 @@ the semantics:
   :func:`aspseek_ray.pipelines.search.ranked_crawl_search` (the full
   qparser -> wildcard expansion -> boolean -> tf·idf×pagerank ->
   site-group -> excerpt lifecycle over the store's postings index).
-  The store index and the ranks are each built once, by the first
-  query that needs them — never at ``start()`` — and read from disk
-  caches after that (``search._ensure_store_index``,
-  ``index_products.ensure_ranks``).  Like the reference, the daemon
-  computes the full result set ONCE per distinct (query, grouping)
-  pair, stores it in the LRU query cache (T6, ``src/qcache.cpp`` role),
-  and answers page requests by slicing the cached set — so paging
-  through results never re-runs the Ray pipeline.
+  The store index (``index_products.refresh_store_index``) and the
+  ranks are built by the first query that needs them, never at
+  ``start()``.  Like the reference, the daemon computes the full result
+  set ONCE per distinct (query, grouping) pair, stores it in the LRU
+  query cache (T6, ``src/qcache.cpp`` role), and answers page requests
+  by slicing the cached set.  A cached set is served only while the
+  store index is at the generation it was computed at: each request
+  reads the index manifest (no stat walk of the store).
 * ``StoredServer`` — GET (zlib-compressed stored body, the wire format
   the reference's stored daemon uses) and EXCERPT (server-side snippet
   slicing via :func:`aspseek_ray.pipelines.search.excerpts`, which is
@@ -194,6 +194,7 @@ class SearchdServer(_BaseServer):
                  host: str = "127.0.0.1", port: int = 0):
         super().__init__(host, port)
         _pin_fsspec_http_stub()
+        from aspseek_ray.pipelines.index_products import store_index_manifest
         from aspseek_ray.pipelines.search import (QueryCache,
                                                   ranked_crawl_search)
 
@@ -210,7 +211,8 @@ class SearchdServer(_BaseServer):
         # per-connection handler threads share the cache; identical
         # concurrent queries dedupe to one pipeline run, distinct queries
         # run their pipelines in parallel
-        self.cache = QueryCache(run_query, maxsize=cache_size)
+        self.cache = QueryCache(run_query, maxsize=cache_size, version=lambda: (
+            store_index_manifest(store_dir) or {}).get("generation"))
 
     # -- request handlers ------------------------------------------------
 

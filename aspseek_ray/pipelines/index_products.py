@@ -7,11 +7,14 @@ inverted-index / citation / rank machinery rebuilt as Dataset jobs):
   parquet; Ray streaming replaces the RAM word-cache).
 * ``merge_postings`` — delta→main compaction (O21): per word, concat +
   position-sort the per-doc lists (groupby within bucket partitions).
-* ``stage_delta`` / ``fold_deltas`` / ``update_postings_index`` — the
-  real-time delta→main refresh (S7/O21): a round is staged as bucketed
-  postings plus a remove-set taken from its url column, and a fold
-  handles each word bucket on its own: it filters that bucket's main
-  files and appends the staged rows as one new file per bucket.
+* ``stage_delta`` / ``fold_deltas`` / ``update_postings_index_staged`` —
+  the real-time delta→main refresh (S7/O21): a round is staged as
+  bucketed postings plus a remove-set taken from its url column, and a
+  fold handles each word bucket on its own: it filters that bucket's
+  main files and appends the staged rows as one new file per bucket.
+* ``refresh_store_index`` — the one index of a crawl store, kept beside
+  it: built once, then refreshed by staging and folding each new round;
+  ranked search and searchd read it.
 * ``clone_groups`` — content-checksum clone detection (O10/O23).
 * ``pagerank`` — iterative popularity rank over the link graph (O28,
   reference src/ranks.cpp `index -R`): per-iteration broadcast of the rank
@@ -22,6 +25,13 @@ inverted-index / citation / rank machinery rebuilt as Dataset jobs):
 """
 
 from __future__ import annotations
+
+import json
+import os
+import shutil
+import threading
+import uuid
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -36,6 +46,7 @@ from aspseek_ray.functions.hashing import content_hash64, fnv1a64, fnv1a64_arrow
 from aspseek_ray.functions.html import extract_links
 from aspseek_ray.functions.text import STOPWORDS_EN, tokenize
 from aspseek_ray.functions.url import canonicalize, host_of
+from aspseek_ray.runtime import cached_build, file_ids, join_partitions
 
 NUM_WORD_BUCKETS = 64
 
@@ -66,8 +77,6 @@ def build_postings(pages_path: str, out_dir: str | None = None,
 
     Raises ValueError when ``pages_path`` is a directory holding no
     parquet file."""
-    from pathlib import Path
-
     if Path(pages_path).is_dir() and not any(Path(pages_path).rglob("*.parquet")):
         raise ValueError(f"no parquet file under {pages_path}")
     cols = ["url", "text"] + (["lang"] if per_lang_stopwords else [])
@@ -95,9 +104,8 @@ def build_postings_latest(round_dirs: "list[str]", out_dir: str | None = None,
     a url refetched in a later round contributes only its latest text —
     one groupby(url_hash) picks the max-round row per url, then the
     normal build_postings explode runs over the deduped pages. This is
-    the rebuild-per-round cost model that update_postings_index /
-    delta staging exist to beat; also the compaction story for long
-    append-only runs."""
+    the rebuild-per-round cost model that delta staging exists to beat;
+    also the compaction story for long append-only runs."""
     cols = ["url_hash", "url", "text"] + (["lang"] if per_lang_stopwords
                                           else [])
     parts = []
@@ -228,31 +236,6 @@ def _read_bucketed_postings(index_dir: str) -> rd.Dataset:
     return ds.map_batches(norm, batch_format="pyarrow")
 
 
-def update_postings_index(index_dir: str, store_path: str,
-                          purge_doc_seqs: "list[int] | tuple[int, ...]" = (),
-                          per_lang_stopwords: bool = False) -> list[int]:
-    """Incremental delta→main index refresh (S7/O21 — the reference's
-    signature real-time update, src/deltas.cpp + CachePut/Merge role):
-    build delta postings from ONE crawl round's stored pages and merge
-    them into an EXISTING ``build_postings(out_dir=...)`` index without
-    rebuilding it.
-
-    Semantics: every page in ``store_path`` (plus ``purge_doc_seqs``) has
-    its OLD postings removed from every bucket, then the delta rows are
-    added — so changed docs are replaced (including words their new text
-    no longer contains, and pages whose new text yields no index token at
-    all), new docs are inserted, and purged docs vanish. ``store_path``
-    must hold at most one fetch per url (one crawl round does; for
-    multi-round inputs dedupe latest-wins upstream).
-
-    It is ``stage_delta`` + ``fold_deltas``: the round is staged, then
-    every staged round (this one included) is folded into main one word
-    bucket at a time. Returns the sorted list of bucket ids whose contents
-    changed."""
-    stage_delta(index_dir, store_path, purge_doc_seqs, per_lang_stopwords)
-    return fold_deltas(index_dir)
-
-
 def _recover_index(index_dir: str) -> None:
     """Crash recovery prologue of the fold: clear the tmp files a fold
     that died left in ``.update_tmp``. An index written by the older
@@ -260,9 +243,6 @@ def _recover_index(index_dir: str) -> None:
     a missing word_bucket=K dir — that swap was stash -> rename-new ->
     rm-stash): restore any stash whose bucket dir is gone and drop the
     rest, BEFORE reading the index."""
-    import shutil
-    from pathlib import Path
-
     for stash in Path(index_dir).glob(".old_bucket=*"):
         part = Path(index_dir) / stash.name.lstrip(".").replace("old_", "word_")
         if not part.exists():
@@ -287,8 +267,6 @@ STAGE_ROWS_TARGET = 1_000_000
 
 
 def _staged_round_dirs(index_dir: str) -> "list[Path]":
-    from pathlib import Path
-
     d = Path(index_dir) / ".deltas"
     return sorted(d.glob("round-*")) if d.exists() else []
 
@@ -308,7 +286,8 @@ def _parquet_rows(files) -> int:
 
 def stage_delta(index_dir: str, store_path: str,
                 purge_doc_seqs: "list[int] | tuple[int, ...]" = (),
-                per_lang_stopwords: bool = False) -> int:
+                per_lang_stopwords: bool = False,
+                drop_stopwords: bool = True) -> int:
     """Stage one round's delta postings WITHOUT touching the main index:
     build the round's (word, word_bucket, doc_seq, positions) postings
     into ``index_dir/.deltas/round-NNNNNN/postings`` (same bucketed
@@ -317,11 +296,9 @@ def stage_delta(index_dir: str, store_path: str,
     fnv1a64 of every url the round stored, plus the purged doc_seqs. The
     round dir appears atomically (tmp + rename); a crash mid-stage leaves
     only an ignored tmp dir. O(round), no main index reads. A round with
-    no stored pages writes no postings dir, only its purges. Returns the
-    staged round number."""
-    import shutil
-    from pathlib import Path
-
+    no stored pages writes no postings dir, only its purges.
+    ``drop_stopwords`` is build_postings'. Returns the staged round
+    number."""
     ddir = Path(index_dir) / ".deltas"
     ddir.mkdir(exist_ok=True)
     for stale in ddir.glob(".tmp-round-*"):
@@ -329,7 +306,8 @@ def stage_delta(index_dir: str, store_path: str,
     existing = _staged_round_dirs(index_dir)
     n = int(existing[-1].name.split("-")[1]) + 1 if existing else 0
     tmp = ddir / f".tmp-round-{n:06d}"
-    build_postings(store_path, per_lang_stopwords=per_lang_stopwords
+    build_postings(store_path, drop_stopwords=drop_stopwords,
+                   per_lang_stopwords=per_lang_stopwords
                    ).write_parquet(str(tmp / "postings"),
                                    partition_cols=["word_bucket"],
                                    min_rows_per_file=STAGE_ROWS_TARGET)
@@ -394,10 +372,6 @@ def _fold_bucket(index_dir: str, rounds: "list[str]", k: int) -> bool:
     empty; the rest are read for their doc_seq column only. The rounds'
     bucket-k rows, each masked by the rounds after it, are appended as
     ONE new file. Every write goes through a tmp file + os.replace."""
-    import os
-    import uuid
-    from pathlib import Path
-
     docs = [pq.read_table(os.path.join(r, "_docs.parquet"))["doc_seq"]
             .to_numpy() for r in rounds]
     remove = np.concatenate(docs)
@@ -452,9 +426,6 @@ def fold_deltas(index_dir: str) -> list[int]:
     appended full of staged docs, filters them away with the rest, and
     appends the same rows again — the fold is idempotent. Returns the
     sorted ids of the buckets that changed."""
-    import shutil
-    from pathlib import Path
-
     rounds = _staged_round_dirs(index_dir)
     if not rounds:
         return []
@@ -491,16 +462,18 @@ def update_postings_index_staged(
         purge_doc_seqs: "list[int] | tuple[int, ...]" = (),
         fold_threshold: float = 0.1,
         per_lang_stopwords: bool = False) -> dict:
-    """The staged flavor of update_postings_index: stage this round's
-    delta (O(round), no index reads), then fold the accumulated segments
-    into main only when staged rows >= ``fold_threshold`` x main rows
-    (both counted from parquet footers — no scan). fold_threshold=0
-    folds every round (equivalent to update_postings_index);
+    """Incremental delta→main index refresh (S7/O21, the reference's
+    real-time update, src/deltas.cpp role) of an EXISTING
+    ``build_postings(out_dir=...)`` index: every page in ``store_path``
+    (one crawl round: at most one fetch per url) plus ``purge_doc_seqs``
+    loses its old postings and the round's rows are added. It stages
+    this round's delta (O(round), no index reads), then folds the
+    accumulated segments into main only when staged rows >=
+    ``fold_threshold`` x main rows (both counted from parquet footers —
+    no scan). fold_threshold=0 folds every round;
     fold_threshold=inf never folds (queries go through
     read_postings_with_deltas). Returns {staged_round, folded, touched,
     staged_rows, main_rows}."""
-    from pathlib import Path
-
     rnd = stage_delta(index_dir, store_path, purge_doc_seqs,
                       per_lang_stopwords)
     staged_files = [f for r in _staged_round_dirs(index_dir)
@@ -513,6 +486,92 @@ def update_postings_index_staged(
     return {"staged_round": rnd, "folded": folded,
             "touched": touched, "staged_rows": staged_rows,
             "main_rows": main_rows}
+
+
+# ----------------------------------------------- the crawl store index
+# Kept in the sibling dir <store>.index, never inside the store (every
+# store reader takes all parquet under it): one gen-NNNNNN dir per
+# generation, and manifest.json, a copy of the current one's manifest.
+# A query reading an older generation keeps it until 3 newer ones exist.
+_KEEP_GENERATIONS = 3
+_REFRESH_LOCK = threading.Lock()
+
+
+def store_index_manifest(store_dir: str) -> "dict | None":
+    """The crawl store index's current manifest, None before the first
+    refresh: ``generation``, ``dir``, the indexed ``units`` (``round=K``
+    dirs, ``.`` for flat files) with their file_ids, ``n_docs``, and the
+    refresh's ``plan`` (build | stage), ``reason`` and ``staged`` units."""
+    p = Path(store_dir).resolve()
+    try:
+        return json.loads((p.parent / f"{p.name}.index" / "manifest.json")
+                          .read_text())
+    except FileNotFoundError:
+        return None
+
+
+def refresh_store_index(store_dir: str) -> str:
+    """Bring the crawl store's index up to date; returns the current
+    generation's dir: postings (doc_seq = fnv1a64(url)) with every word
+    kept, ``docs/`` (doc_seq, url) rows and a manifest. The first
+    refresh, or one that finds an indexed unit changed or gone, builds
+    the whole store; new ``round=K`` units alone are staged and folded
+    into a hard-linked copy of the current generation (O(delta): the
+    fold's tmp + os.replace writes leave the old files as they were).
+    An unchanged store costs a stat walk. Rounds are assumed to hold
+    disjoint urls, as a crawl's url-seen set makes them."""
+    store = Path(store_dir).resolve()
+    root = store.parent / f"{store.name}.index"
+    with _REFRESH_LOCK:
+        man = store_index_manifest(store_dir)
+        units: dict = {}
+        for f in file_ids(store):
+            head, _, rest = f[0].partition("/")
+            units.setdefault(head if rest else ".", []).append(f)
+        old = man["units"] if man else {}
+        # round=9 before round=10
+        new = sorted(set(units) - set(old), key=lambda u: (len(u), u))
+        if man is None:
+            plan, reason = "build", "no index"
+        elif "." in new or any(units.get(u) != f for u, f in old.items()):
+            plan, reason = "build", "changed unit"
+        elif new:
+            plan, reason = "stage", "new units"
+        else:
+            return str(root / man["dir"])
+        g = man["generation"] + 1 if man else 0
+        gen, tmp = root / f"gen-{g:06d}", root / f".gen-{g:06d}"
+        shutil.rmtree(tmp, ignore_errors=True)
+        tmp.mkdir(parents=True)
+        if plan == "stage":
+            for d in (root / man["dir"]).iterdir():
+                if d.name == "docs" or d.name.startswith("word_bucket="):
+                    shutil.copytree(d, tmp / d.name, copy_function=os.link)
+            for u in new:
+                stage_delta(str(tmp), str(store / u), drop_stopwords=False)
+            fold_deltas(str(tmp))
+        else:
+            new = []
+            build_postings(str(store), drop_stopwords=False).write_parquet(
+                str(tmp), partition_cols=["word_bucket"])
+        (rd.read_parquet([str(store / u) for u in new] or str(store),
+                         columns=["url"])
+           .map_batches(lambda b: pa.table({
+               "doc_seq": pa.array(fnv1a64_arrow(b["url"]), pa.int64()),
+               "url": b["url"]}), batch_format="pyarrow")
+           .write_parquet(str(tmp / "docs")))
+        man = {"generation": g, "dir": gen.name, "units": units,
+               "n_docs": _parquet_rows((tmp / "docs").glob("*.parquet")),
+               "plan": plan, "reason": reason, "staged": new}
+        (tmp / "manifest.json").write_text(json.dumps(man))
+        shutil.rmtree(gen, ignore_errors=True)   # left unpublished by a crash
+        tmp.rename(gen)
+        (root / ".manifest.json").write_text(json.dumps(man))
+        os.replace(root / ".manifest.json", root / "manifest.json")
+        for d in root.glob("gen-*"):
+            if int(d.name[4:]) <= g - _KEEP_GENERATIONS:
+                shutil.rmtree(d, ignore_errors=True)
+        return str(gen)
 
 
 def clone_groups(pages_path: str) -> pa.Table:
@@ -663,8 +722,6 @@ def _pagerank_joined_ds(pages_path: str, n: int, iterations: int,
     """Keyed-join PageRank body returning the (url, rank) Dataset — the
     collected variant above is a thin wrapper; ensure_ranks writes the
     Dataset straight to parquet."""
-    from aspseek_ray.runtime import join_partitions
-
     if num_partitions is None:
         num_partitions = join_partitions(16)
     nodes = rd.read_parquet(pages_path, columns=["url"])
@@ -821,10 +878,6 @@ def ensure_anchor_index(pages_path: str) -> str:
     word_bucket — so an anchor-boosted query reads only its terms'
     partitions, exactly like the body postings index. Same atomic
     rename-into-place protocol as the search-side index builds."""
-    from pathlib import Path
-
-    from aspseek_ray.runtime import cached_build
-
     def build(tmp: Path) -> None:
         # fully distributed: anchor rows -> one (word, url) groupby ->
         # bucket stamp -> partitioned write; the aggregated index never
@@ -862,11 +915,6 @@ def ensure_ranks(pages_path: str) -> str:
     keyed plan's Dataset is written straight to parquet, so nothing
     O(nodes) is collected on the driver. Same atomic rename-into-place
     protocol as ensure_anchor_index."""
-    import json
-    from pathlib import Path
-
-    from aspseek_ray.runtime import cached_build
-
     def build(tmp: Path) -> None:
         n = rd.read_parquet(pages_path, columns=["url"]).count()
         if n <= PAGERANK_BROADCAST_MAX_NODES:

@@ -8,17 +8,18 @@ positions), parquet-partitioned by word_bucket) and one set of readers
 (_term_postings_ds, _ast_plan, _vocab_scan), each taking an index dir:
 
   * the documents index (_ensure_doc_postings, doc_seq = doc_id, plus
-    doclen) behind the sf_dir queries;
-  * the crawl store index (_ensure_store_index, doc_seq = fnv1a64(url),
-    plus a doc_seq -> url table) behind ranked_crawl_search,
-    anchor_boosted_search and the searchd daemon.
+    doclen) behind the sf_dir queries, built once per documents table
+    and cached on disk keyed by the source file's identity;
+  * the crawl store index (index_products.refresh_store_index, doc_seq
+    = fnv1a64(url), plus a doc_seq -> url table) behind
+    ranked_crawl_search, anchor_boosted_search and the searchd daemon,
+    kept beside the store: built by the first query, then refreshed by
+    staging and folding only the rounds added since (the delta/main
+    merge of SURVEY O21).
 
 A query touches only its terms' bucket partitions (word-pruned row
 filter inside), so its cost follows its posting lists, not the corpus.
-Both indexes keep every word (the query layer decides) and are built
-once, by the first query that needs them, and cached on disk keyed by
-the source files' identity (the delta/main merge story of SURVEY O21
-covers incremental refresh of the crawl's own index).
+Both indexes keep every word (the query layer decides).
 
 Pinned semantics (tokenizer = functions/text.py::tokenize):
   * boolean AND: doc contains every term; OR: any term; NOT: include term
@@ -43,7 +44,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -98,34 +98,6 @@ def _build_doc_postings(doc_path: str, build: Path) -> None:
               .sum("n") or 0)
     (build / "manifest.json").write_text(
         json.dumps({"n_docs": n_docs, "total_tokens": total_tokens}))
-
-
-def _ensure_store_index(store_dir: str) -> str:
-    """Build (once, disk-cached by source identity, like ensure_ranks)
-    the postings index of a crawl store: the ``build_postings`` rows
-    (word, word_bucket, doc_seq=fnv1a64(url), positions) with every word
-    kept, since ranked search scores every word; ``docs/`` rows
-    (doc_seq, url), so results resolve to urls; and a manifest with
-    n_docs (the store's row count). Built by the first query that needs
-    it, never at daemon start. A rewritten store file changes the key,
-    so a changed store is indexed again."""
-    return cached_build("/tmp/aspseek_ray_store_idx", store_dir, "store1",
-                        lambda build: _build_store_index(store_dir, build))
-
-
-def _build_store_index(store_dir: str, build: Path) -> None:
-    from aspseek_ray.pipelines.index_products import build_postings
-
-    (build_postings(store_dir, drop_stopwords=False)
-        .write_parquet(str(build), partition_cols=["word_bucket"]))
-    (rd.read_parquet(store_dir, columns=["url"])
-       .map_batches(lambda b: pa.table({
-           "doc_seq": pa.array(fnv1a64_arrow(b["url"]), pa.int64()),
-           "url": b["url"]}), batch_format="pyarrow")
-       .write_parquet(str(build / "docs")))
-    n_docs = sum(pq.ParquetFile(f).metadata.num_rows
-                 for f in (build / "docs").glob("*.parquet"))
-    (build / "manifest.json").write_text(json.dumps({"n_docs": n_docs}))
 
 
 def _doc_table(idx: str, seqs=None, rdir: str | None = None) -> pa.Table:
@@ -734,10 +706,10 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
     """End-to-end searchd lifecycle over the CRAWL's own products
     (SURVEY §3.2: postings fetch -> boolean merge -> score = term weight x
     popularity rank -> excerpts from stored copies). It reads the store
-    index (_ensure_store_index: the store's postings, keyed by
-    fnv1a64(url), built once per store by the first query that needs
-    it), never the stored text: only the query terms' bucket partitions
-    are fetched. Docs containing ANY query term are scored by
+    index (index_products.refresh_store_index: the store's postings,
+    keyed by fnv1a64(url), kept beside the store; this call first brings
+    it up to date), never the stored text: only the query terms' bucket
+    partitions are fetched. Docs containing ANY query term are scored by
     sum_t tf*ln(N/df) (tf = |positions|, N = stored pages, df over the
     admissible docs) times (1 + damping_rank * n * pagerank), and a
     stored-copy excerpt for the best term is attached. The pagerank
@@ -766,12 +738,13 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
     distributed (Ray groupby + per-batch partial top-k), the driver
     touches only O(k) rows, and excerpts are sliced for the result urls
     alone."""
-    from aspseek_ray.pipelines.index_products import ensure_ranks
+    from aspseek_ray.pipelines.index_products import (
+        ensure_ranks, refresh_store_index)
     from aspseek_ray.pipelines.qparser import (
         expand_prefixes, leaf_terms, parse_query, positive_terms)
 
     ast = parse_query(query) if query is not None else None
-    idx = _ensure_store_index(store_dir)
+    idx = refresh_store_index(store_dir)
     n_docs = _index_manifest(idx)["n_docs"]
     if n_docs == 0:
         return _ranked_empty(per_site)
@@ -815,7 +788,9 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
 class QueryCache:
     """LRU query-result cache (SURVEY T6; reference: src/qcache.cpp — the
     searchd query cache). Wraps any query callable; keys on the positional
-    args. Eviction is least-recently-used at ``maxsize`` entries.
+    args. Eviction is least-recently-used at ``maxsize`` entries. An entry
+    is served only while ``version()`` returns what it returned just
+    before the entry was computed; a stale entry counts as a miss.
 
     Safe to share between threads (searchd serves each connection on its
     own thread): bookkeeping goes under a lock, and a per-key in-flight
@@ -824,9 +799,10 @@ class QueryCache:
     their pipelines in parallel — the reference's per-connection-thread
     model, where only the cache itself is a shared structure."""
 
-    def __init__(self, fn, maxsize: int = 128):
+    def __init__(self, fn, maxsize: int = 128, version=lambda: None):
         self.fn = fn
         self.maxsize = maxsize
+        self.version = version
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -836,11 +812,12 @@ class QueryCache:
     def __call__(self, *args):
         key = args
         while True:
+            ver = self.version()
             with self._lock:
-                if key in self._cache:
+                if key in self._cache and self._cache[key][0] == ver:
                     self._cache.move_to_end(key)
                     self.hits += 1
-                    return self._cache[key]
+                    return self._cache[key][1]
                 ev = self._inflight.get(key)
                 if ev is None:
                     self._inflight[key] = ev = threading.Event()
@@ -850,7 +827,8 @@ class QueryCache:
             val = self.fn(*args)
             with self._lock:
                 self.misses += 1
-                self._cache[key] = val
+                self._cache[key] = (ver, val)
+                self._cache.move_to_end(key)
                 if len(self._cache) > self.maxsize:
                     self._cache.popitem(last=False)
             return val
@@ -1213,20 +1191,21 @@ def anchor_boosted_search(store_dir: str, pages_path: str,
 
     Scale shape: both sides read ONLY the query terms' partitions — the
     body side from the store index that ranked_crawl_search reads
-    (_ensure_store_index), the anchor side from the cached word-bucketed
+    (index_products.refresh_store_index), the anchor side from the cached word-bucketed
     anchor index. Dual plans: driver pandas under ``driver_max_docs``
     stored pages; above it body scoring runs distributed (tf rows ->
     groupby(doc_seq).sum), the query-sized anchor map rides a closure,
     blending happens before any top-k, and the driver sees O(k x blocks)
     candidate rows. Output (url, score) top-k by (score desc, url)."""
-    from aspseek_ray.pipelines.index_products import ensure_anchor_index
+    from aspseek_ray.pipelines.index_products import (
+        ensure_anchor_index, refresh_store_index)
 
     terms = tuple(sorted(set(terms)))
     empty = pa.table({"url": pa.array([], pa.string()),
                       "score": pa.array([], pa.float64())})
     if not terms:
         return empty
-    idx = _ensure_store_index(store_dir)
+    idx = refresh_store_index(store_dir)
     n_docs = _index_manifest(idx)["n_docs"]
     if n_docs == 0:
         return empty

@@ -86,18 +86,22 @@ def actor_pool(lo: int = 2) -> tuple[int, int]:
     return (lo, max(lo, cpus))
 
 
+def file_ids(path: str) -> list[list]:
+    """[relative name, size, mtime_ns] of each parquet file under the
+    dir ``path`` (a rewrite in place leaves the dir's own stat as is)."""
+    p = Path(path)
+    return [[str(f.relative_to(p)), st.st_size, st.st_mtime_ns]
+            for f, st in ((f, f.stat()) for f in sorted(p.rglob("*.parquet")))]
+
+
 def source_key(path: str, tag: str) -> str:
     """Disk-cache key of a product derived from ``path``: a digest of the
     resolved path and the size and mtime of every source file. A file
     stands for itself; a directory stands for every parquet file under it
-    (relative name, size, mtime), since rewriting a file in place leaves
-    the directory's own stat unchanged. ``tag`` versions the product's
-    format."""
+    (``file_ids``). ``tag`` versions the product's format."""
     p = Path(path).resolve()
     if p.is_dir():
-        ident = ",".join(
-            f"{f.relative_to(p)}:{st.st_size}:{st.st_mtime_ns}"
-            for f, st in ((f, f.stat()) for f in sorted(p.rglob("*.parquet"))))
+        ident = ",".join(f"{n}:{size}:{mtime}" for n, size, mtime in file_ids(p))
     else:
         st = p.stat()
         ident = f"{st.st_size}:{st.st_mtime_ns}"

@@ -281,7 +281,7 @@ def run_bench() -> dict:
     # own store rounds (S7/O21): initial build on round 0, then fold each
     # later round in-place — the timed section is the updates only.
     from aspseek_ray.pipelines.index_products import (
-        build_postings, update_postings_index)
+        build_postings, fold_deltas, update_postings_index_staged)
 
     rounds = sorted(Path(f"{out}/store").glob("round=*"),
                     key=lambda p: int(p.name.split("=")[1]))[:4]
@@ -291,7 +291,7 @@ def run_bench() -> dict:
         build_postings(str(rounds[0]), out_dir=idx)
         t0 = time.monotonic()
         for rdir in rounds[1:]:
-            update_postings_index(idx, str(rdir))
+            update_postings_index_staged(idx, str(rdir), fold_threshold=0.0)
         timings["index_incremental_update"] = round(time.monotonic() - t0, 3)
         print(f"[bench] index_incremental_update "
               f"({len(rounds) - 1} rounds): "
@@ -301,9 +301,6 @@ def run_bench() -> dict:
         # O(round), fold only when staged >= 10% of main — vs the
         # rebuild-per-round control (build_postings over the cumulative
         # store each round), the cost model the staging exists to beat.
-        from aspseek_ray.pipelines.index_products import (
-            fold_deltas, update_postings_index_staged)
-
         idx2 = "/tmp/aspseek_ray_bench/idx_staged"
         shutil.rmtree(idx2, ignore_errors=True)
         build_postings(str(rounds[0]), out_dir=idx2)
@@ -347,7 +344,7 @@ def run_bench() -> dict:
         update_postings_index_staged(idx2, sp, fold_threshold=10.0)
         timings["index_small_delta_staged"] = round(time.monotonic() - t0, 3)
         t0 = time.monotonic()
-        update_postings_index(idx, sp)
+        update_postings_index_staged(idx, sp, fold_threshold=0.0)
         timings["index_small_delta_folded"] = round(time.monotonic() - t0, 3)
         print(f"[bench] small-delta (2000 docs vs full index): staged "
               f"{timings['index_small_delta_staged']}s vs per-round fold "

@@ -71,7 +71,7 @@ def test_cli_index_incremental_update(cli_corpus):
     upd = json.loads(_run("index", "--pages", f"{run_out}/store/{rounds[1]}",
                           "--index-dir", idx, "--update")
                      .strip().splitlines()[-1])
-    touched = upd["buckets_rewritten"]
+    touched = upd["touched"]
     assert touched and touched == sorted(set(touched))
     for k in touched:
         assert os.path.isdir(f"{idx}/word_bucket={k}")

@@ -275,6 +275,66 @@ def test_concurrent_clients(searchd):
     assert srv.cache.misses == before + 2
 
 
+def test_searchd_answers_from_the_refreshed_index(ray_session, tmp_path):
+    """A query answered before a store change is not served after it:
+    searchd over a 2-round store finds no doc for a word of round 2;
+    once that round is added and refresh_store_index runs, the socket
+    answer equals a direct ranked_crawl_search over an index built from
+    scratch, and the stale cache entry counts as a miss."""
+    import shutil
+
+    from aspseek_ray.daemon import SearchdClient, SearchdServer
+    from aspseek_ray.pipelines.index_products import refresh_store_index
+    from aspseek_ray.pipelines.search import ranked_crawl_search
+
+    rounds = [[("http://a.example/", "foo bar"),
+               ("http://b.example/", "foo")],
+              [("http://c.example/", "bar baz")],
+              [("http://d.example/", "yak foo"),
+               ("http://a.example/y.html", "yak yak")]]
+    urls = [u for r in rounds for u, _ in r]
+    pages = tmp_path / "pages.parquet"
+    pq.write_table(pa.table({"url": urls, "html": pa.array(
+        [f'<p><a href="{n}">x</a></p>'.encode()
+         for n in urls[1:] + urls[:1]], pa.binary())}), pages)
+    store = tmp_path / "store"
+
+    def add_round(k):
+        (store / f"round={k}").mkdir(parents=True)
+        pq.write_table(pa.table({"url": [u for u, _ in rounds[k]],
+                                 "text": [t for _, t in rounds[k]]}),
+                       store / f"round={k}" / "part-0.parquet")
+
+    add_round(0)
+    add_round(1)
+    srv = SearchdServer(str(store), str(pages), max_results=100)
+    host, port = srv.start()
+    try:
+        with SearchdClient(host, port) as c:
+            # the first answer is computed before any index generation
+            # exists, so only the second is cached at generation 0
+            assert c.search("yak", page=0, page_size=10)["total"] == 0
+            assert c.search("yak", page=0, page_size=10)["total"] == 0
+            before = c.stats()
+            add_round(2)
+            refresh_store_index(str(store))
+            got = c.search("yak", page=0, page_size=10)
+            after = c.stats()
+    finally:
+        srv.stop()
+    fresh = tmp_path / "fresh" / "store"
+    shutil.copytree(store, fresh)
+    want = ranked_crawl_search(str(fresh), str(pages), k=100, query="yak")
+    assert want.num_rows == 2
+    assert got["total"] == want.num_rows
+    assert [r["url"] for r in got["results"]] == want["url"].to_pylist()
+    assert [r["score"] for r in got["results"]] == want["score"].to_pylist()
+    assert [r["excerpt"] for r in got["results"]] == \
+        want["excerpt"].to_pylist()
+    assert (after["misses"], after["hits"]) == (before["misses"] + 1,
+                                                before["hits"])
+
+
 def test_querycache_thread_safe_dedupes_inflight():
     """Concurrent IDENTICAL keys run the wrapped fn once (late arrivals
     wait and count as hits); DISTINCT keys run in parallel; errors don't

@@ -24,7 +24,6 @@ from aspseek_ray.pipelines.index_products import (
     merge_postings,
     read_postings_with_deltas,
     stage_delta,
-    update_postings_index,
     update_postings_index_staged,
 )
 
@@ -87,11 +86,6 @@ def test_refetch_without_index_tokens_drops_old_postings(ray_session,
     assert _merged_table(read_postings_with_deltas(staged)).equals(want)
     fold_deltas(staged)
     assert _merged_table(_read_bucketed_postings(staged)).equals(want)
-
-    unstaged = str(tmp_path / "unstaged")
-    build_postings(r0, out_dir=unstaged)
-    update_postings_index(unstaged, r1)
-    assert _merged_table(_read_bucketed_postings(unstaged)).equals(want)
 
     folded = str(tmp_path / "folded")
     build_postings(r0, out_dir=folded)

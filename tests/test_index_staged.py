@@ -19,7 +19,6 @@ from aspseek_ray.pipelines.index_products import (
     merge_postings,
     read_postings_with_deltas,
     stage_delta,
-    update_postings_index,
     update_postings_index_staged,
 )
 
@@ -104,16 +103,20 @@ def test_fold_collapses_staged_into_main(ray_session, tmp_path):
 
 
 def test_staged_equals_unstaged_update(ray_session, tmp_path):
-    """fold_threshold=0 (fold every round) must land in the same state
-    as the round-4 update_postings_index path."""
+    """fold_threshold=0 (fold every round, as an unstaged refresh does)
+    must land in the same state as staging every round and folding once
+    at the end."""
     paths, urls, texts = _corpus_rounds(tmp_path, n_rounds=3, seed=9)
     idx_a, idx_b = str(tmp_path / "a"), str(tmp_path / "b")
     build_postings(str(paths[0]), out_dir=idx_a)
     build_postings(str(paths[0]), out_dir=idx_b)
     for p in paths[1:]:
-        update_postings_index(idx_a, str(p))
+        r = update_postings_index_staged(idx_a, str(p),
+                                         fold_threshold=float("inf"))
+        assert not r["folded"]
         r = update_postings_index_staged(idx_b, str(p), fold_threshold=0.0)
         assert r["folded"]
+    fold_deltas(idx_a)
     ta = _merged_table(_read_bucketed_postings(idx_a))
     tb = _merged_table(_read_bucketed_postings(idx_b))
     assert ta.equals(tb)
@@ -185,8 +188,8 @@ def test_build_postings_latest_equals_final_rebuild(ray_session, tmp_path):
 def test_round_with_no_stored_pages(ray_session, tmp_path):
     """A round whose store holds zero rows (every fetch failed) stages
     without error, still applies its purges, and leaves both the
-    with-deltas view and the folded main equal to a rebuild; the
-    unstaged update_postings_index takes the same round."""
+    with-deltas view and the folded main equal to a rebuild; a refresh
+    that folds every round takes the same round."""
     from aspseek_ray.pipelines.index_products import build_postings_latest
 
     paths, urls, texts = _corpus_rounds(tmp_path, n_rounds=3, seed=5)
@@ -223,10 +226,12 @@ def test_round_with_no_stored_pages(ray_session, tmp_path):
     assert r["folded"] and not r["touched"]
     assert not list((tmp_path / "idx" / ".deltas").glob("round-*"))
 
-    # the unstaged refresh takes the same round, with the same purge
+    # a refresh that folds every round takes the same round, with the
+    # same purge
     idx2 = str(tmp_path / "idx2")
     build_postings(dirs[0], out_dir=idx2)
     for d in dirs[1:]:
-        update_postings_index(idx2, d)
-    update_postings_index(idx2, dirs[2], purge_doc_seqs=[fnv1a64(gone)])
+        update_postings_index_staged(idx2, d, fold_threshold=0.0)
+    update_postings_index_staged(idx2, dirs[2], fold_threshold=0.0,
+                                 purge_doc_seqs=[fnv1a64(gone)])
     assert _merged_table(_read_bucketed_postings(idx2)).equals(want)

@@ -11,7 +11,7 @@ from aspseek_ray.functions.hashing import fnv1a64
 from aspseek_ray.pipelines.index_products import (
     build_postings,
     merge_postings,
-    update_postings_index,
+    update_postings_index_staged,
 )
 
 
@@ -52,7 +52,8 @@ def test_incremental_update_equals_rebuild(ray_session, tmp_path):
 
     idx = str(tmp_path / "idx")
     build_postings(str(tmp_path / "round0.parquet"), out_dir=idx)
-    touched = update_postings_index(idx, str(tmp_path / "round1.parquet"))
+    touched = update_postings_index_staged(
+        idx, str(tmp_path / "round1.parquet"), fold_threshold=0.0)["touched"]
     assert touched  # something was rewritten
 
     from aspseek_ray.pipelines.index_products import _read_bucketed_postings
@@ -63,7 +64,8 @@ def test_incremental_update_equals_rebuild(ray_session, tmp_path):
     assert inc.equals(full)
 
     # idempotence: re-applying the same round changes nothing
-    update_postings_index(idx, str(tmp_path / "round1.parquet"))
+    update_postings_index_staged(idx, str(tmp_path / "round1.parquet"),
+                                 fold_threshold=0.0)
     assert _merged_table(_read_bucketed_postings(idx)).equals(full)
 
 
@@ -76,8 +78,8 @@ def test_incremental_update_purges_docs(ray_session, tmp_path):
     idx = str(tmp_path / "idx")
     build_postings(str(tmp_path / "r0.parquet"), out_dir=idx)
     gone = [fnv1a64(urls[5].encode())]
-    update_postings_index(idx, str(tmp_path / "r1.parquet"),
-                          purge_doc_seqs=gone)
+    update_postings_index_staged(idx, str(tmp_path / "r1.parquet"),
+                                 purge_doc_seqs=gone, fold_threshold=0.0)
 
     _write_pages(tmp_path / "final.parquet", [urls[0]] + urls[1:5],
                  ["common rewritten"] + texts[1:5])
@@ -112,7 +114,8 @@ def test_update_recovers_from_crashed_swap(ray_session, tmp_path):
     k2 = survivor.name.split("=")[1]
     shutil.copytree(survivor, idx / f".old_bucket={k2}")
 
-    update_postings_index(str(idx), str(tmp_path / "r1.parquet"))
+    update_postings_index_staged(str(idx), str(tmp_path / "r1.parquet"),
+                                 fold_threshold=0.0)
     assert not list(idx.glob(".old_bucket=*"))
 
     from aspseek_ray.pipelines.index_products import _read_bucketed_postings
@@ -125,12 +128,12 @@ def test_update_recovers_from_crashed_swap(ray_session, tmp_path):
     assert inc.equals(full)
 
 
-def test_unstaged_and_staged_refresh_agree(ray_session, tmp_path):
-    """update_postings_index and update_postings_index_staged with
-    fold_threshold=0 run the same stage + per-bucket fold, so both equal
-    a rebuild over the final corpus state."""
-    from aspseek_ray.pipelines.index_products import (
-        _read_bucketed_postings, update_postings_index_staged)
+def test_staged_refresh_folding_every_round_equals_rebuild(ray_session,
+                                                          tmp_path):
+    """update_postings_index_staged with fold_threshold=0 stages the
+    round and folds it at once, and the folded index equals a rebuild
+    over the final corpus state."""
+    from aspseek_ray.pipelines.index_products import _read_bucketed_postings
 
     urls = [f"http://h{i % 3}.example/p{i}.html" for i in range(30)]
     texts = [f"tok{i % 7} tok{i % 11} stable suffix words" for i in range(30)]
@@ -138,25 +141,20 @@ def test_unstaged_and_staged_refresh_agree(ray_session, tmp_path):
     _write_pages(tmp_path / "r1.parquet", urls[:8],
                  [f"replaced body tok{i}" for i in range(8)])
 
-    idx_a, idx_b = str(tmp_path / "idx_a"), str(tmp_path / "idx_b")
-    for idx in (idx_a, idx_b):
-        build_postings(str(tmp_path / "r0.parquet"), out_dir=idx)
-    update_postings_index(idx_a, str(tmp_path / "r1.parquet"))
-    r = update_postings_index_staged(idx_b, str(tmp_path / "r1.parquet"),
+    idx = str(tmp_path / "idx")
+    build_postings(str(tmp_path / "r0.parquet"), out_dir=idx)
+    r = update_postings_index_staged(idx, str(tmp_path / "r1.parquet"),
                                      fold_threshold=0.0)
     assert r["folded"] and r["touched"]
-    ta = _merged_table(_read_bucketed_postings(idx_a))
-    tb = _merged_table(_read_bucketed_postings(idx_b))
     _write_pages(tmp_path / "final.parquet", urls,
                  [f"replaced body tok{i}" for i in range(8)] + texts[8:])
     full = _merged_table(build_postings(str(tmp_path / "final.parquet")))
-    assert ta.equals(tb)
-    assert ta.equals(full)
+    assert _merged_table(_read_bucketed_postings(idx)).equals(full)
 
 
 def test_build_postings_rejects_a_dir_without_parquet(ray_session, tmp_path):
     """A directory holding no parquet file is bad input: build_postings
-    and update_postings_index name the path in a ValueError."""
+    and update_postings_index_staged name the path in a ValueError."""
     import pytest
 
     empty = tmp_path / "no_parts"
@@ -166,4 +164,4 @@ def test_build_postings_rejects_a_dir_without_parquet(ray_session, tmp_path):
     index = tmp_path / "index"
     index.mkdir()
     with pytest.raises(ValueError, match=str(empty)):
-        update_postings_index(str(index), str(empty))
+        update_postings_index_staged(str(index), str(empty))

@@ -198,18 +198,24 @@ def test_store_index_built_once_per_store(ray_session, tmp_path,
                                           monkeypatch):
     """The store index is built by the first query that needs it and
     read by every later query of both plans and of anchor_boosted_search;
-    rewriting a store file in place builds it again."""
+    rewriting a store file in place builds it again; a round added later
+    is staged on its own (build_postings runs over that round's files
+    only) and the answer equals a freshly built index's. The manifest
+    records each refresh's plan and reason."""
+    import shutil
+
+    from aspseek_ray.pipelines import index_products as ip
     from aspseek_ray.pipelines import search
 
     store, pages = _multi_block_products(tmp_path)
-    real = search._build_store_index
+    real = ip.build_postings
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(pages_path, *args, **kwargs):
+        calls.append(pages_path)
+        return real(pages_path, *args, **kwargs)
 
-    monkeypatch.setattr(search, "_build_store_index", counted)
+    monkeypatch.setattr(ip, "build_postings", counted)
     for dmax in (100_000, 0):
         for kwargs in (dict(query="foo bar"), dict(query='"foo bar"'),
                        dict(query="foo", per_site=2)):
@@ -218,6 +224,9 @@ def test_store_index_built_once_per_store(ray_session, tmp_path,
         assert search.anchor_boosted_search(store, pages, ("foo",),
                                             driver_max_docs=dmax).num_rows
     assert len(calls) == 1
+    man = ip.store_index_manifest(store)
+    assert (man["generation"], man["plan"], man["reason"], man["staged"]) \
+        == (0, "build", "no index", [])
 
     part = f"{store}/part-0.parquet"
     t = pq.read_table(part)
@@ -226,6 +235,28 @@ def test_store_index_built_once_per_store(ray_session, tmp_path,
     out = search.ranked_crawl_search(store, pages, query="zebra", k=100)
     assert len(calls) == 2
     assert set(out["url"].to_pylist()) == set(t["url"].to_pylist())
+    man = ip.store_index_manifest(store)
+    assert (man["generation"], man["plan"], man["reason"]) \
+        == (1, "build", "changed unit")
+
+    rnd = f"{store}/round=1"
+    new_urls = [f"http://h9.example/n{i}.html" for i in range(5)]
+    (tmp_path / "store" / "round=1").mkdir()
+    pq.write_table(pa.table({"url": new_urls,
+                             "text": [f"zebra yak {'foo ' * i}"
+                                      for i in range(5)]}),
+                   f"{rnd}/part-0.parquet")
+    got = search.ranked_crawl_search(store, pages, query="zebra", k=100)
+    assert calls[2:] == [rnd]
+    man = ip.store_index_manifest(store)
+    assert (man["generation"], man["plan"], man["reason"], man["staged"]) \
+        == (2, "stage", "new units", ["round=1"])
+    assert man["n_docs"] == 69
+    fresh = tmp_path / "fresh" / "store"
+    shutil.copytree(store, fresh)
+    want = search.ranked_crawl_search(str(fresh), pages, query="zebra", k=100)
+    assert len(calls) == 4 and calls[3] == str(fresh)
+    assert got.equals(want) and got.num_rows == 21
 
 
 def _multi_block_products(tmp_path):
@@ -388,20 +419,67 @@ def test_cached_build_sweeps_entries_of_deleted_sources(tmp_path):
         Path(b).name, Path(c).name, "unrecorded", "x.tmp1.2"}
 
 
-def test_store_index_of_a_deleted_store_is_swept(ray_session, tmp_path):
-    """The store index of a deleted scratch store is removed by the next
-    store-index build."""
-    import shutil
+def test_store_index_lives_beside_the_store(ray_session, tmp_path):
+    """The store index is kept in the sibling dir ``store.index``, so a
+    query leaves the store's own file listing as it was."""
     from pathlib import Path
 
+    from aspseek_ray.pipelines import index_products as ip
     from aspseek_ray.pipelines import search
 
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
-    store_a, _ = _mini_crawl_products(tmp_path / "a")
-    idx_a = search._ensure_store_index(store_a)
-    assert Path(idx_a).exists()
-    shutil.rmtree(store_a)
-    store_b, _ = _mini_crawl_products(tmp_path / "b")
-    idx_b = search._ensure_store_index(store_b)
-    assert Path(idx_b).exists() and not Path(idx_a).exists()
+    store, pages = _mini_crawl_products(tmp_path)
+    before = sorted(Path(store).rglob("*"))
+    assert search.ranked_crawl_search(store, pages, query="foo").num_rows
+    assert sorted(Path(store).rglob("*")) == before
+    man = ip.store_index_manifest(store)
+    idx = tmp_path / "store.index"
+    assert ip.refresh_store_index(store) == str(idx / man["dir"])
+    assert (idx / "manifest.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "pages.parquet", "store", "store.index"]
+
+
+def test_query_keeps_its_generation_across_refreshes(ray_session, tmp_path,
+                                                    monkeypatch):
+    """A query that took generation g of the store index reads it to the
+    end while two refreshes publish g+1 and g+2; a third refresh removes
+    g."""
+    import threading
+    from pathlib import Path
+
+    from aspseek_ray.pipelines import index_products as ip
+    from aspseek_ray.pipelines import search
+
+    store, pages = _mini_crawl_products(tmp_path)
+    want = search.ranked_crawl_search(store, pages, query="foo")
+    gen0 = ip.refresh_store_index(store)
+    real = search._term_postings_ds
+    entered, release = threading.Event(), threading.Event()
+
+    def blocked(pdir, *args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(120)
+        return real(pdir, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_term_postings_ds", blocked)
+    out = {}
+    q = threading.Thread(target=lambda: out.update(
+        t=search.ranked_crawl_search(store, pages, query="foo")))
+    q.start()
+    assert entered.wait(120)
+    for r in (1, 2, 3):
+        d = tmp_path / "store" / f"round={r}"
+        d.mkdir()
+        pq.write_table(pa.table({"url": [f"http://d.example/{r}"],
+                                 "text": [f"foo round{r}"]}),
+                       d / "part-0.parquet")
+        ip.refresh_store_index(store)
+        if r == 2:
+            release.set()
+            q.join(120)
+            assert out["t"].equals(want)
+    assert ip.store_index_manifest(store)["generation"] == 3
+    assert not Path(gen0).exists()
+    assert sorted(p.name for p in (tmp_path / "store.index").glob("gen-*")) \
+        == ["gen-000001", "gen-000002", "gen-000003"]
