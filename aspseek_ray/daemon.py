@@ -194,19 +194,23 @@ class SearchdServer(_BaseServer):
                  host: str = "127.0.0.1", port: int = 0):
         super().__init__(host, port)
         _pin_fsspec_http_stub()
-        from aspseek_ray.pipelines.index_products import store_index_manifest
-        from aspseek_ray.pipelines.search import (QueryCache,
+        from aspseek_ray.pipelines.index_products import (
+            refresh_store_index, store_index_manifest)
+        from aspseek_ray.pipelines.search import (QueryCache, _index_manifest,
                                                   ranked_crawl_search)
 
         self.store_dir = store_dir
         self.pages_path = pages_path
         self.max_results = max_results
 
-        def run_query(query: str, per_site: int) -> pa.Table:
-            return ranked_crawl_search(
+        def run_query(query: str, per_site: int) -> tuple[int, pa.Table]:
+            # the answer is cached under the generation it read, which a
+            # query that builds or refreshes the index only learns here
+            idx = refresh_store_index(store_dir)
+            return _index_manifest(idx)["generation"], ranked_crawl_search(
                 store_dir, pages_path, k=max_results,
                 per_site=per_site or None, query=query,
-                excerpt_width=excerpt_width)
+                excerpt_width=excerpt_width, index_dir=idx)
 
         # per-connection handler threads share the cache; identical
         # concurrent queries dedupe to one pipeline run, distinct queries
@@ -256,7 +260,8 @@ class SearchdServer(_BaseServer):
 
     def _handle_stats(self) -> tuple[int, bytes]:
         c = self.cache
-        return ST_OK, struct.pack("!III", c.hits, c.misses, len(c._cache))
+        return ST_OK, struct.pack("!IIIdd", c.hits, c.misses, len(c._cache),
+                                  c.miss_ms(50), c.miss_ms(99))
 
     def _make_handler(self):
         server = self
@@ -426,9 +431,12 @@ class SearchdClient(_BaseClient):
                 "results": results}
 
     def stats(self) -> dict:
+        """The query cache's counters and the p50/p99 wall milliseconds
+        of its recent misses (cold queries; 0.0 before the first)."""
         body = self._rpc(CMD_STATS, b"")
-        hits, misses, cached = struct.unpack("!III", body)
-        return {"hits": hits, "misses": misses, "cached": cached}
+        hits, misses, cached, p50, p99 = struct.unpack("!IIIdd", body)
+        return {"hits": hits, "misses": misses, "cached": cached,
+                "miss_p50_ms": p50, "miss_p99_ms": p99}
 
 
 class StoredClient(_BaseClient):

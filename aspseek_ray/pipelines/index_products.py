@@ -698,7 +698,8 @@ def _pagerank_broadcast(pages_path: str, n: int, iterations: int,
         parts = id_edges.map_batches(contrib, batch_format="pyarrow")
         agg = parts.groupby("node").aggregate(Sum("mass", alias_name="mass")).to_pandas()
         incoming = np.zeros(n)
-        incoming[agg["node"].to_numpy()] = agg["mass"].to_numpy()
+        if len(agg):                # no edge joins two pages: no columns
+            incoming[agg["node"].to_numpy()] = agg["mass"].to_numpy()
         dangling = ranks[deg == 0].sum()
         ranks = (1 - damping) / n + damping * (incoming + dangling / n)
 
@@ -712,7 +713,8 @@ def _pagerank_joined(pages_path: str, n: int, iterations: int,
     """Keyed-join PageRank — no driver node list, no O(n) broadcast."""
     out = _pagerank_joined_ds(pages_path, n, iterations, damping, ndigits,
                               num_partitions)
-    t = pa.concat_tables(ray.get(out.materialize().to_arrow_refs()))
+    t = pa.concat_tables([b for b in ray.get(out.materialize().to_arrow_refs())
+                          if b.num_rows])
     return t.sort_by("url")
 
 
@@ -727,7 +729,7 @@ def _pagerank_joined_ds(pages_path: str, n: int, iterations: int,
     nodes = rd.read_parquet(pages_path, columns=["url"])
 
     # edges restricted to crawled nodes on both endpoints (semi joins)
-    raw = extract_link_edges(pages_path)
+    raw = extract_link_edges(pages_path).materialize()
     src_nodes = nodes.map_batches(
         lambda b: pa.table({"src": b["url"]}), batch_format="pyarrow")
     dst_nodes = nodes.map_batches(
@@ -736,7 +738,14 @@ def _pagerank_joined_ds(pages_path: str, n: int, iterations: int,
                       num_partitions=num_partitions, on=("src",))
                 .join(dst_nodes, join_type="left_semi",
                       num_partitions=num_partitions, on=("dst",))
-                .materialize())
+                .materialize()) if raw.count() else raw
+    if not edges.count():
+        # no link joins two pages (and empty blocks carry no columns to
+        # join on): every page is dangling, so every rank stays 1/n
+        return nodes.map_batches(lambda b: pa.table({
+            "url": b["url"],
+            "rank": pa.array(np.full(b.num_rows, round(1.0 / n, ndigits)))}),
+            batch_format="pyarrow")
 
     deg = edges.groupby("src").aggregate(Count(alias_name="out_deg"))
     base = (nodes.map_batches(lambda b: pa.table({"src": b["url"]}),

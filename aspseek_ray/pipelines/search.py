@@ -5,7 +5,8 @@ tf·idf-flavored ranking, top-k), with exact DuckDB oracles.
 Every query READS AN INDEX, never the raw text. Two indexes share one
 format (index_products._explode rows (word, word_bucket, doc_seq,
 positions), parquet-partitioned by word_bucket) and one set of readers
-(_term_postings_ds, _ast_plan, _vocab_scan), each taking an index dir:
+(_term_postings, _term_postings_ds, _ast_plan, _vocab_scan), each taking
+an index dir:
 
   * the documents index (_ensure_doc_postings, doc_seq = doc_id, plus
     doclen) behind the sf_dir queries, built once per documents table
@@ -20,6 +21,12 @@ positions), parquet-partitioned by word_bucket) and one set of readers
 A query touches only its terms' bucket partitions (word-pruned row
 filter inside), so its cost follows its posting lists, not the corpus.
 Both indexes keep every word (the query layer decides).
+
+A read whose rows all end up on the driver is one in-process
+pyarrow.dataset scan (_term_postings, _vocab_scan, _doc_table and
+excerpts for given urls), so a driver-plan query over built index
+products starts no Ray Data job. Ray Data reads the plans whose rows do
+not all reach the driver (_term_postings_ds) and builds the products.
 
 Pinned semantics (tokenizer = functions/text.py::tokenize):
   * boolean AND: doc contains every term; OR: any term; NOT: include term
@@ -37,13 +44,15 @@ from __future__ import annotations
 import json
 import math
 import threading
-from collections import OrderedDict
+import time
+from collections import OrderedDict, deque
 from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import ray
 import ray.data as rd
 
@@ -104,8 +113,6 @@ def _doc_table(idx: str, seqs=None, rdir: str | None = None) -> pa.Table:
     """(doc_seq, url[, rank]) rows of a store index's docs sorted by
     doc_seq: only the docs in ``seqs`` when given; ``rank`` from the
     ensure_ranks table ``rdir`` (0.0 for a url it lacks)."""
-    import pyarrow.dataset as pads
-
     files = sorted(str(f) for f in (Path(idx) / "docs").glob("*.parquet"))
     t = pa.table({"doc_seq": pa.array([], pa.int64()),
                   "url": pa.array([], pa.string())})
@@ -175,20 +182,28 @@ def _index_manifest(pdir: str) -> dict:
     return json.loads((Path(pdir) / "manifest.json").read_text())
 
 
+def _term_files(pdir: str, terms: tuple[str, ...]) -> list[str]:
+    """The parquet files of the terms' word_bucket partitions of the
+    index ``pdir`` (the searchd cache.cpp role: a query touches only its
+    terms' buckets, so its cost follows its posting lists)."""
+    paths = []
+    for b in sorted({int(np.abs(fnv1a64(w)) % NUM_WORD_BUCKETS)
+                     for w in terms}):
+        d = Path(pdir) / f"word_bucket={b}"
+        if d.exists():
+            paths.extend(sorted(str(f) for f in d.glob("*.parquet")))
+    return paths
+
+
 def _term_postings_ds(pdir: str, terms: tuple[str, ...],
                       columns: tuple[str, ...] = ("word", "doc_seq",
                                                   "positions"),
                       ) -> "rd.Dataset | None":
-    """Lazy pruned posting fetch from the index ``pdir``: a Dataset over
-    ONLY the terms' word_bucket partitions with a word-pruned row filter
-    (the searchd cache.cpp role: query cost scales with posting-list
-    size, not corpus size). None when no bucket exists."""
-    buckets = sorted({int(np.abs(fnv1a64(w)) % NUM_WORD_BUCKETS) for w in terms})
-    paths = []
-    for b in buckets:
-        d = Path(pdir) / f"word_bucket={b}"
-        if d.exists():
-            paths.extend(sorted(str(f) for f in d.glob("*.parquet")))
+    """Lazy pruned posting fetch from the index ``pdir`` for the
+    distributed plans: a Dataset over ONLY the terms' word_bucket
+    partitions with a word-pruned row filter. None when no bucket
+    exists."""
+    paths = _term_files(pdir, terms)
     if not paths:
         return None
     return rd.read_parquet(paths, columns=list(columns),
@@ -211,9 +226,18 @@ def _collect(ds: "rd.Dataset | None") -> pa.Table:
     return pa.concat_tables(parts).combine_chunks()
 
 
-def _term_postings(pdir: str, terms: tuple[str, ...]) -> pa.Table:
-    """The terms' posting rows of the index ``pdir``, on the driver."""
-    return _collect(_term_postings_ds(pdir, terms))
+def _term_postings(pdir: str, terms: tuple[str, ...],
+                   columns: tuple[str, ...] = ("word", "doc_seq",
+                                               "positions")) -> pa.Table:
+    """The terms' posting rows of the index ``pdir``, read on the driver
+    by one in-process scan of their bucket files (every row ends up on
+    the driver, so a Ray Data job would only add its start-up)."""
+    paths = _term_files(pdir, terms)
+    if not paths:
+        return pa.table({c: _EMPTY_POSTINGS.get(c, pa.array([], pa.null()))
+                         for c in columns})
+    return pads.dataset(paths, format="parquet").to_table(
+        columns=list(columns), filter=pc.field("word").isin(list(terms)))
 
 
 # ---------------------------------------------- distributed set algebra
@@ -702,7 +726,8 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
                         excerpt_width: int = 40,
                         per_site: int | None = None,
                         query: str | None = None,
-                        driver_max_docs: int = 100_000) -> pa.Table:
+                        driver_max_docs: int = 100_000,
+                        index_dir: str | None = None) -> pa.Table:
     """End-to-end searchd lifecycle over the CRAWL's own products
     (SURVEY §3.2: postings fetch -> boolean merge -> score = term weight x
     popularity rank -> excerpts from stored copies). It reads the store
@@ -730,21 +755,27 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
     the parsed boolean/phrase expression; scoring and excerpts use its
     POSITIVE terms (negations only exclude). Overrides ``terms``.
 
+    ``index_dir``: a store index generation dir, as refresh_store_index
+    returns it, to read as it is (searchd refreshes first, so it knows
+    the generation its answer came from); None refreshes the index.
+
     Two physical plans behind a size switch (the pagerank pattern,
     validated equal by test_round3): at or below ``driver_max_docs``
     stored pages the result set is assembled on the driver (the searchd
-    model — fine for any human-facing query); above it, admissibility,
-    scoring, the rank lookup, per-host capping and top-k all run
-    distributed (Ray groupby + per-batch partial top-k), the driver
-    touches only O(k) rows, and excerpts are sliced for the result urls
-    alone."""
+    model — fine for any human-facing query) from in-process scans of
+    the terms' postings, the vocabulary sidecar, the docs table and the
+    result urls' store files, so once the index, ranks and sidecar exist
+    the query starts no Ray Data job; above it, admissibility, scoring,
+    the rank lookup, per-host capping and top-k all run distributed (Ray
+    groupby + per-batch partial top-k) and the driver touches only O(k)
+    rows. Both plans slice excerpts for the result urls alone."""
     from aspseek_ray.pipelines.index_products import (
         ensure_ranks, refresh_store_index)
     from aspseek_ray.pipelines.qparser import (
         expand_prefixes, leaf_terms, parse_query, positive_terms)
 
     ast = parse_query(query) if query is not None else None
-    idx = refresh_store_index(store_dir)
+    idx = index_dir or refresh_store_index(store_dir)
     n_docs = _index_manifest(idx)["n_docs"]
     if n_docs == 0:
         return _ranked_empty(per_site)
@@ -788,18 +819,23 @@ def ranked_crawl_search(store_dir: str, pages_path: str,
 class QueryCache:
     """LRU query-result cache (SURVEY T6; reference: src/qcache.cpp — the
     searchd query cache). Wraps any query callable; keys on the positional
-    args. Eviction is least-recently-used at ``maxsize`` entries. An entry
-    is served only while ``version()`` returns what it returned just
-    before the entry was computed; a stale entry counts as a miss.
+    args. Eviction is least-recently-used at ``maxsize`` entries.
+
+    With ``version`` (a callable returning the data version now), ``fn``
+    returns ``(version it read, value)``: the entry is stored under the
+    version the run actually read and served only while ``version()``
+    returns it; a stale entry counts as a miss. Without ``version``,
+    ``fn`` returns the value and entries never go stale.
 
     Safe to share between threads (searchd serves each connection on its
     own thread): bookkeeping goes under a lock, and a per-key in-flight
     registry dedupes concurrent IDENTICAL queries (the late arrivals wait
     for the first run and count as hits) while DISTINCT queries execute
     their pipelines in parallel — the reference's per-connection-thread
-    model, where only the cache itself is a shared structure."""
+    model, where only the cache itself is a shared structure. The wall
+    time of the last 1024 runs is kept for ``miss_ms``."""
 
-    def __init__(self, fn, maxsize: int = 128, version=lambda: None):
+    def __init__(self, fn, maxsize: int = 128, version=None):
         self.fn = fn
         self.maxsize = maxsize
         self.version = version
@@ -808,11 +844,12 @@ class QueryCache:
         self.misses = 0
         self._lock = threading.Lock()
         self._inflight: dict[tuple, threading.Event] = {}
+        self._miss_ms: deque = deque(maxlen=1024)
 
     def __call__(self, *args):
         key = args
         while True:
-            ver = self.version()
+            ver = self.version() if self.version is not None else None
             with self._lock:
                 if key in self._cache and self._cache[key][0] == ver:
                     self._cache.move_to_end(key)
@@ -824,9 +861,14 @@ class QueryCache:
                     break                  # this thread owns the run
             ev.wait()                      # identical query in flight
         try:
+            t = time.perf_counter()
             val = self.fn(*args)
+            ms = (time.perf_counter() - t) * 1000
+            if self.version is not None:
+                ver, val = val
             with self._lock:
                 self.misses += 1
+                self._miss_ms.append(ms)
                 self._cache[key] = (ver, val)
                 self._cache.move_to_end(key)
                 if len(self._cache) > self.maxsize:
@@ -836,6 +878,13 @@ class QueryCache:
             with self._lock:
                 self._inflight.pop(key, None)
             ev.set()
+
+    def miss_ms(self, q: float) -> float:
+        """The ``q``-th percentile of the recent misses' run times in ms
+        (the cold-query latency), 0.0 before the first miss."""
+        with self._lock:
+            ms = list(self._miss_ms)
+        return float(np.percentile(ms, q)) if ms else 0.0
 
 
 def _store_paths_for(store_dir: str,
@@ -868,13 +917,14 @@ def excerpts(store_dir: str, terms: tuple[str, ...],
     """Cached-copy excerpt slicing (the ``stored`` daemon's excerpts.cpp
     role, SURVEY S8): read the crawl's zstd store parquet back and emit,
     per stored page matching any query term, a +-width-char snippet around
-    the first match. Distributed map over the store partitions; only
-    matching rows leave the stage. Output (url, term, excerpt).
-    ``urls``: restrict to these urls (the result-page path slices
-    excerpts for k results, not the whole store) — the read is pruned to
-    the urls' hash buckets (_store_paths_for) and the url predicate is
-    pushed into the parquet scan, so cost is O(k buckets), not a
-    full-store sweep."""
+    the first match. Output (url, term, excerpt).
+    ``urls``: restrict to these urls (the result page and the stored
+    daemon's EXCERPT slice excerpts for k results, not the whole store).
+    That read is one in-process scan of the urls' hash-bucket files
+    (_store_paths_for) with the url predicate pushed into it, so its cost
+    is O(k buckets) and it starts no Ray Data job. The whole-store sweep
+    (``urls=None``) is a Ray Data map over the store partitions; only
+    matching rows leave it."""
     import re
 
     pats = {t: re.compile(r"(?<![a-z0-9])" + re.escape(t) + r"(?![a-z0-9])")
@@ -903,14 +953,16 @@ def excerpts(store_dir: str, terms: tuple[str, ...],
                       "excerpt": pa.array([], pa.string())})
     if not paths:
         return empty
-    flt = pc.field("url").isin(list(urls)) if urls is not None else None
-    ds = rd.read_parquet(paths, columns=["url", "text"], filter=flt)
-    out = ds.map_batches(slice_batch, batch_format="pyarrow")
-    parts = [t for t in ray.get(out.materialize().to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return empty
-    return pa.concat_tables(parts).sort_by([("url", "ascending"),
-                                            ("term", "ascending")])
+    if urls is not None:
+        out = slice_batch(pads.dataset(paths, format="parquet").to_table(
+            columns=["url", "text"], filter=pc.field("url").isin(list(urls))))
+    else:
+        ds = rd.read_parquet(paths, columns=["url", "text"])
+        parts = [t for t in ray.get(ds.map_batches(
+            slice_batch, batch_format="pyarrow").materialize().to_arrow_refs())
+            if t.num_rows]
+        out = pa.concat_tables(parts) if parts else empty
+    return out.sort_by([("url", "ascending"), ("term", "ascending")])
 
 
 def tfidf_search(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
@@ -1212,9 +1264,8 @@ def anchor_boosted_search(store_dir: str, pages_path: str,
 
     # anchor hits for the query terms: the anchor index is word-bucketed
     # like the postings, so the same pruned partition read serves it
-    ads = _term_postings_ds(ensure_anchor_index(pages_path), terms,
-                            columns=("url", "n_refs"))
-    at = ads.to_pandas() if ads is not None else pd.DataFrame()
+    at = _term_postings(ensure_anchor_index(pages_path), terms,
+                        columns=("url", "n_refs")).to_pandas()
     hits: dict[str, float] = (
         at.groupby("url")["n_refs"].sum().astype(float).to_dict()
         if len(at) else {})
@@ -1415,9 +1466,7 @@ def _prefix_words(pdir: str, prefix: str) -> tuple[str, ...]:
     (sorted) — the wildcard expansion pass shared by prefix_search and
     the qparser's Prefix nodes. Pushed-down starts_with scan over the
     del_keys sidecar's exact-word rows (delkey == word <=> one row per
-    distinct word). Collected as arrow refs, not to_pandas: empty
-    filtered blocks lose their schema and a column-less pandas frame
-    comes back."""
+    distinct word)."""
     return _vocab_scan(pdir, pc.starts_with(pc.field("word"), prefix)
                        ) if prefix else ()
 
@@ -1428,12 +1477,7 @@ def _vocab_scan(pdir: str, word_filter) -> tuple[str, ...]:
                    for f in Path(kdir).glob("delkey_bucket=*/*.parquet"))
     if not files:
         return ()
-    parts = [t for t in ray.get(
-        rd.read_parquet(files, columns=["word", "delkey"],
-                        filter=word_filter)
-          .materialize().to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return ()
-    vt = pa.concat_tables(parts)
-    vt = vt.filter(pc.equal(vt["word"], vt["delkey"]))
+    vt = pads.dataset(files, format="parquet").to_table(
+        columns=["word"],
+        filter=word_filter & (pc.field("word") == pc.field("delkey")))
     return tuple(sorted(set(vt["word"].to_pylist())))

@@ -311,8 +311,8 @@ def test_searchd_answers_from_the_refreshed_index(ray_session, tmp_path):
     host, port = srv.start()
     try:
         with SearchdClient(host, port) as c:
-            # the first answer is computed before any index generation
-            # exists, so only the second is cached at generation 0
+            # the first answer builds generation 0 and is cached under
+            # it; the second is a hit
             assert c.search("yak", page=0, page_size=10)["total"] == 0
             assert c.search("yak", page=0, page_size=10)["total"] == 0
             before = c.stats()
@@ -333,6 +333,110 @@ def test_searchd_answers_from_the_refreshed_index(ray_session, tmp_path):
         want["excerpt"].to_pylist()
     assert (after["misses"], after["hits"]) == (before["misses"] + 1,
                                                 before["hits"])
+
+
+def test_driver_plan_starts_no_ray_data_read(crawl_products, stored,
+                                            monkeypatch):
+    """Once the store index, the ranks, the vocabulary sidecar and the
+    anchor index exist, the driver plan reads them in-process: with
+    ray.data.read_parquet raising, an AND, a per-site, a phrase and a
+    wildcard-negation query, an anchor-boosted search and a stored
+    EXCERPT all answer exactly as they did before."""
+    import ray.data
+
+    from aspseek_ray.daemon import StoredClient
+    from aspseek_ray.pipelines.search import (anchor_boosted_search,
+                                              ranked_crawl_search)
+
+    store, pages, urls, _ = crawl_products
+    _, host, port = stored
+
+    def answers():
+        out = [ranked_crawl_search(store, pages, query=q, per_site=ps)
+               for q, ps in [("foo bar", None), ("foo", 1),
+                             ('"foo bar"', None), ("foo -ba*", None)]]
+        out.append(anchor_boosted_search(store, pages, ("foo", "x")))
+        with StoredClient(host, port) as c:
+            out.append(c.excerpt(urls[2], ("bar",), width=5))
+        return out
+
+    want = answers()
+    assert all(t.num_rows for t in want[:-1]) and want[-1]
+
+    def no_job(*args, **kwargs):
+        raise AssertionError("the driver plan started a Ray Data read")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_job)
+    got = answers()
+    assert all(g.equals(w) for g, w in zip(got[:-1], want[:-1]))
+    assert got[-1] == want[-1]
+
+
+def _store_of(tmp_path, urls, texts, htmls):
+    store = tmp_path / "store"
+    store.mkdir()
+    pq.write_table(pa.table({"url": urls, "text": texts}),
+                   store / "part-0.parquet")
+    pages = tmp_path / "pages.parquet"
+    pq.write_table(pa.table({"url": urls,
+                             "html": pa.array(htmls, pa.binary())}), pages)
+    return str(store), str(pages)
+
+
+def test_searchd_caches_the_answer_that_built_the_index(ray_session,
+                                                       tmp_path):
+    """A fresh searchd over a store with no index: the first query builds
+    generation 0 and its answer is cached under it, so the same query
+    asked again is a hit. STATS reports the misses' p50/p99 latency."""
+    from aspseek_ray.daemon import SearchdClient, SearchdServer
+    from aspseek_ray.pipelines.index_products import store_index_manifest
+
+    urls = ["http://a.example/", "http://b.example/"]
+    store, pages = _store_of(tmp_path, urls, ["foo bar", "foo"],
+                             [f'<a href="{u}">x</a>'.encode()
+                              for u in urls[::-1]])
+    srv = SearchdServer(store, pages, max_results=100)
+    host, port = srv.start()
+    try:
+        with SearchdClient(host, port) as c:
+            before = c.stats()
+            first = c.search("foo", page=0, page_size=10)
+            second = c.search("foo", page=0, page_size=10)
+            after = c.stats()
+    finally:
+        srv.stop()
+    assert store_index_manifest(store)["generation"] == 0
+    assert first == second and first["total"] == 2
+    assert (before["misses"], before["hits"]) == (0, 0)
+    assert before["miss_p50_ms"] == before["miss_p99_ms"] == 0.0
+    assert (after["misses"], after["hits"], after["cached"]) == (1, 1, 1)
+    assert 0.0 < after["miss_p50_ms"] <= after["miss_p99_ms"]
+
+
+def test_searchd_over_pages_without_links(ray_session, tmp_path):
+    """Pages with no <a href>: the broadcast PageRank gives every page the
+    same rank as the keyed-join plan, and searchd answers with status
+    OK."""
+    from aspseek_ray.daemon import SearchdClient, SearchdServer
+    from aspseek_ray.pipelines.index_products import pagerank
+
+    urls = ["http://a.example/", "http://b.example/", "http://c.example/"]
+    store, pages = _store_of(tmp_path, urls, ["foo bar", "foo", "bar"],
+                             [b"<p>no links</p>"] * 3)
+    small = pagerank(pages, iterations=3)
+    joined = pagerank(pages, iterations=3, broadcast_max_nodes=0)
+    assert small["url"].to_pylist() == joined["url"].to_pylist() == urls
+    assert small["rank"].to_pylist() == [round(1 / 3, 6)] * 3
+    assert small["rank"].to_pylist() == pytest.approx(
+        joined["rank"].to_pylist(), abs=2e-6)
+    srv = SearchdServer(store, pages, max_results=100)
+    host, port = srv.start()
+    try:
+        with SearchdClient(host, port) as c:
+            got = c.search("foo", page=0, page_size=10)
+    finally:
+        srv.stop()
+    assert [r["url"] for r in got["results"]] == urls[:2]
 
 
 def test_querycache_thread_safe_dedupes_inflight():

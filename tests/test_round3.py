@@ -453,7 +453,7 @@ def test_query_keeps_its_generation_across_refreshes(ray_session, tmp_path,
     store, pages = _mini_crawl_products(tmp_path)
     want = search.ranked_crawl_search(store, pages, query="foo")
     gen0 = ip.refresh_store_index(store)
-    real = search._term_postings_ds
+    real = search._term_postings
     entered, release = threading.Event(), threading.Event()
 
     def blocked(pdir, *args, **kwargs):
@@ -462,7 +462,7 @@ def test_query_keeps_its_generation_across_refreshes(ray_session, tmp_path,
             assert release.wait(120)
         return real(pdir, *args, **kwargs)
 
-    monkeypatch.setattr(search, "_term_postings_ds", blocked)
+    monkeypatch.setattr(search, "_term_postings", blocked)
     out = {}
     q = threading.Thread(target=lambda: out.update(
         t=search.ranked_crawl_search(store, pages, query="foo")))
