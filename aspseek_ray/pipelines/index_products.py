@@ -8,10 +8,13 @@ inverted-index / citation / rank machinery rebuilt as Dataset jobs):
 * ``merge_postings`` — delta→main compaction (O21): per word, concat +
   position-sort the per-doc lists (groupby within bucket partitions).
 * ``stage_delta`` / ``fold_deltas`` / ``update_postings_index_staged`` —
-  the real-time delta→main refresh (S7/O21): a round is staged as
-  bucketed postings plus a remove-set taken from its url column, and a
-  fold handles each word bucket on its own: it filters that bucket's
-  main files and appends the staged rows as one new file per bucket.
+  the real-time delta→main refresh (S7/O21), plain Ray tasks with no
+  Ray Data job: a round is staged by one task per share of its stored
+  rows as bucketed postings plus a remove-set taken from its url
+  column; a fold reads the rounds' remove-sets once on the driver and
+  runs one task per CPU over a group of word buckets, each bucket
+  filtering its own main files and appending the staged rows as one new
+  file.
 * ``refresh_store_index`` — the one index of a crawl store, kept beside
   it: built once, then refreshed by staging and folding each new round;
   ranked search and searchd read it.
@@ -169,20 +172,30 @@ def _explode(doc_seqs, texts: list, stops: "list | None",
     return pa.table(cols)
 
 
+def _page_postings(pages: pa.Table, drop_stopwords: bool,
+                   per_lang_stopwords: bool,
+                   doc_seqs: "np.ndarray | None" = None) -> pa.Table:
+    """The postings of a (url, text[, lang]) pages table: ``_explode``
+    with build_postings' stopword policy. ``doc_seqs`` passes the urls'
+    fnv1a64 when the caller has it already."""
+    from aspseek_ray.functions.text import stopwords_for
+
+    stops = None
+    if drop_stopwords:
+        stops = ([stopwords_for(lang) for lang in pages["lang"].to_pylist()]
+                 if per_lang_stopwords else [STOPWORDS_EN] * pages.num_rows)
+    if doc_seqs is None:
+        doc_seqs = fnv1a64_arrow(pages["url"])
+    return _explode(doc_seqs, pages["text"].to_pylist(), stops)
+
+
 def _postings_from_pages(ds: rd.Dataset, out_dir: str | None,
                          drop_stopwords: bool,
                          per_lang_stopwords: bool) -> rd.Dataset:
     """build_postings' explode over an in-flight pages Dataset."""
 
     def explode(batch: pa.Table) -> pa.Table:
-        from aspseek_ray.functions.text import stopwords_for
-
-        stops = None
-        if drop_stopwords:
-            stops = ([stopwords_for(lang) for lang in batch["lang"].to_pylist()]
-                     if per_lang_stopwords else [STOPWORDS_EN] * batch.num_rows)
-        return _explode(fnv1a64_arrow(batch["url"]),
-                        batch["text"].to_pylist(), stops)
+        return _page_postings(batch, drop_stopwords, per_lang_stopwords)
 
     postings = ds.map_batches(explode, batch_format="pyarrow")
     if out_dir:
@@ -259,11 +272,13 @@ def _recover_index(index_dir: str) -> None:
 # fold; queries read main + staged segments with latest-wins masking.
 # Staging and folding both follow the word-bucket partitioning: folding
 # bucket k touches only bucket k's files, so a refresh costs O(delta)
-# plus a doc_seq-column read of the index.
+# plus a doc_seq-column read of the index. Both run as plain Ray tasks:
+# at a crawl round's size a Ray Data job costs more than the work.
 
-# rows one staging write task gathers before it writes: a round below
-# this writes ONE file per word bucket, not one per input block
-STAGE_ROWS_TARGET = 1_000_000
+# stored rows one stage task explodes: a round up to this size is one
+# task writing ONE file per word bucket; a larger round is split by row
+# group across tasks, each writing its own file per bucket
+STAGE_TASK_ROWS = 20_000
 
 
 def _staged_round_dirs(index_dir: str) -> "list[Path]":
@@ -284,21 +299,93 @@ def _parquet_rows(files) -> int:
     return sum(pq.ParquetFile(str(f)).metadata.num_rows for f in files)
 
 
+def _stage_shares(pages_path: str) -> "list[dict[str, list[int]]]":
+    """The stored rows of a pages file or store dir cut into stage-task
+    shares of at most STAGE_TASK_ROWS rows (a row group is never split),
+    from parquet footers only: per share, each file's row groups.
+    Files and dirs whose name starts with ``.`` or ``_`` are skipped, as
+    a parquet dataset read skips them. Raises ValueError when
+    ``pages_path`` is a directory holding no parquet file."""
+    p = Path(pages_path)
+    files = [p]
+    if p.is_dir():
+        files = [f for f in sorted(p.rglob("*.parquet"))
+                 if not any(part.startswith((".", "_"))
+                            for part in f.relative_to(p).parts)]
+        if not files:
+            raise ValueError(f"no parquet file under {pages_path}")
+    shares: "list[dict[str, list[int]]]" = []
+    rows = STAGE_TASK_ROWS      # so the first row group opens a share
+    for f in files:
+        md = pq.ParquetFile(f).metadata
+        for g in range(md.num_row_groups):
+            n = md.row_group(g).num_rows
+            if n == 0:
+                continue
+            if rows + n > STAGE_TASK_ROWS:
+                shares.append({})
+                rows = 0
+            shares[-1].setdefault(str(f), []).append(g)
+            rows += n
+    return shares
+
+
+@ray.remote
+def _stage_share(share: "dict[str, list[int]]", postings_dir: str,
+                 part: int, drop_stopwords: bool, per_lang_stopwords: bool,
+                 docs_dir: "str | None") -> np.ndarray:
+    """Explode one share of a round's stored rows, reading each file
+    once, and write its postings as one file per word bucket
+    (``postings_dir/word_bucket=K/part-NNNNN.parquet``, NNNNN = ``part``)
+    and, given ``docs_dir``, its (doc_seq, url) rows as one file there.
+    Returns the share's doc_seqs (fnv1a64 of every stored url)."""
+    cols = ["url", "text"] + (["lang"] if per_lang_stopwords else [])
+    pages = pa.concat_tables(
+        [pq.ParquetFile(f).read_row_groups(gs, columns=cols)
+         for f, gs in share.items()])
+    seqs = fnv1a64_arrow(pages["url"])
+    postings = _page_postings(pages, drop_stopwords, per_lang_stopwords, seqs)
+    if postings.num_rows:
+        b = postings["word_bucket"].to_numpy()
+        order = np.argsort(b, kind="stable")
+        b = b[order]
+        postings = postings.drop_columns(["word_bucket"]).take(order)
+        cuts = (np.flatnonzero(np.diff(b)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(b)]):
+            d = Path(postings_dir) / f"word_bucket={b[lo]}"
+            d.mkdir(parents=True, exist_ok=True)
+            pq.write_table(postings.slice(lo, hi - lo),
+                           d / f"part-{part:05d}.parquet")
+    if docs_dir:
+        Path(docs_dir).mkdir(parents=True, exist_ok=True)
+        pq.write_table(pa.table({"doc_seq": pa.array(seqs, pa.int64()),
+                                 "url": pages["url"]}),
+                       Path(docs_dir) / f"{uuid.uuid4().hex}.parquet")
+    return seqs
+
+
 def stage_delta(index_dir: str, store_path: str,
                 purge_doc_seqs: "list[int] | tuple[int, ...]" = (),
                 per_lang_stopwords: bool = False,
-                drop_stopwords: bool = True) -> int:
+                drop_stopwords: bool = True,
+                docs_dir: "str | None" = None) -> int:
     """Stage one round's delta postings WITHOUT touching the main index:
     build the round's (word, word_bucket, doc_seq, positions) postings
     into ``index_dir/.deltas/round-NNNNNN/postings`` (same bucketed
-    layout as main; one file per bucket for a round below
-    STAGE_ROWS_TARGET rows) plus its remove-set ``_docs.parquet``:
-    fnv1a64 of every url the round stored, plus the purged doc_seqs. The
-    round dir appears atomically (tmp + rename); a crash mid-stage leaves
-    only an ignored tmp dir. O(round), no main index reads. A round with
-    no stored pages writes no postings dir, only its purges.
-    ``drop_stopwords`` is build_postings'. Returns the staged round
+    layout as main) plus its remove-set ``_docs.parquet``: fnv1a64 of
+    every url the round stored, plus the purged doc_seqs. One Ray task
+    explodes each STAGE_TASK_ROWS share of the round's stored rows
+    (counted from parquet footers) and writes one file per word bucket,
+    so a round up to that size stages one file per bucket; no Ray Data
+    job runs. Given ``docs_dir``, each task also writes its (doc_seq,
+    url) rows there, straight into that dir. The round dir appears
+    atomically (tmp + rename); a crash mid-stage leaves only an ignored
+    tmp dir. O(round), no main index reads. A round with no stored pages
+    writes no postings dir, only its purges. ``drop_stopwords`` is
+    build_postings'. Raises ValueError when ``store_path`` is a
+    directory holding no parquet file. Returns the staged round
     number."""
+    shares = _stage_shares(store_path)
     ddir = Path(index_dir) / ".deltas"
     ddir.mkdir(exist_ok=True)
     for stale in ddir.glob(".tmp-round-*"):
@@ -306,18 +393,15 @@ def stage_delta(index_dir: str, store_path: str,
     existing = _staged_round_dirs(index_dir)
     n = int(existing[-1].name.split("-")[1]) + 1 if existing else 0
     tmp = ddir / f".tmp-round-{n:06d}"
-    build_postings(store_path, drop_stopwords=drop_stopwords,
-                   per_lang_stopwords=per_lang_stopwords
-                   ).write_parquet(str(tmp / "postings"),
-                                   partition_cols=["word_bucket"],
-                                   min_rows_per_file=STAGE_ROWS_TARGET)
-    tmp.mkdir(exist_ok=True)
+    tmp.mkdir()
     # every url the round stored, so a page whose new text yields no
     # index token (no posting row) still loses its old postings
-    urls = pq.read_table(store_path, columns=["url"])["url"]
+    seqs = ray.get([_stage_share.remote(s, str(tmp / "postings"), i,
+                                        drop_stopwords, per_lang_stopwords,
+                                        docs_dir)
+                    for i, s in enumerate(shares)])
     arr = np.unique(np.concatenate(
-        [fnv1a64_arrow(urls),
-         np.asarray(list(purge_doc_seqs), dtype=np.int64)]))
+        [*seqs, np.asarray(list(purge_doc_seqs), dtype=np.int64)]))
     pq.write_table(pa.table({"doc_seq": pa.array(arr, pa.int64())}),
                    tmp / "_docs.parquet")
     tmp.rename(ddir / f"round-{n:06d}")
@@ -365,96 +449,142 @@ def read_postings_with_deltas(index_dir: str) -> rd.Dataset:
     return out
 
 
-def _fold_bucket(index_dir: str, rounds: "list[str]", k: int) -> bool:
+# the file counts of a fold: staged rounds' remove-sets read, main files
+# read, rewritten filtered and unlinked, staged files read, and new
+# delta files written
+FOLD_COUNTS = ("docs_read", "main_read", "main_rewritten", "main_unlinked",
+               "staged_read", "written")
+
+
+def _round_masks(rounds: "list[str]") -> "tuple[np.ndarray, list]":
+    """Each staged round's remove-set, read once: the union of all of
+    them (the docs main loses) and, per round, the union of the rounds
+    after it (the docs that round's rows lose; None for the last)."""
+    docs = [pq.ParquetFile(os.path.join(r, "_docs.parquet"))
+            .read(columns=["doc_seq"])["doc_seq"].to_numpy() for r in rounds]
+    later: list = [None] * len(docs)
+    acc = None
+    for i in range(len(docs) - 1, 0, -1):
+        acc = docs[i] if acc is None else np.union1d(docs[i], acc)
+        later[i - 1] = acc
+    return (docs[0] if acc is None else np.union1d(docs[0], acc)), later
+
+
+def _fold_bucket(index_dir: str, rounds: "list[str]", k: int,
+                 masks: "tuple | None" = None,
+                 counts: "dict | None" = None) -> bool:
     """Fold every staged round into main word bucket ``k``; returns
-    whether the bucket changed. Main files holding a removed doc (any
-    staged round's url or purge) are rewritten filtered, or unlinked once
-    empty; the rest are read for their doc_seq column only. The rounds'
-    bucket-k rows, each masked by the rounds after it, are appended as
-    ONE new file. Every write goes through a tmp file + os.replace."""
-    docs = [pq.read_table(os.path.join(r, "_docs.parquet"))["doc_seq"]
-            .to_numpy() for r in rounds]
-    remove = np.concatenate(docs)
+    whether the bucket changed. ``masks`` is ``_round_masks(rounds)``
+    (read here when not given); ``counts`` (FOLD_COUNTS keys) gains the
+    files this call read and wrote. Each main or staged file is opened
+    once. Main files holding a removed doc (any staged round's url or
+    purge) are rewritten filtered, or unlinked once empty; the rest are
+    read for their doc_seq column only. The rounds' bucket-k rows, each
+    masked by the rounds after it, are appended as ONE new file. Every
+    write goes through a tmp file + os.replace."""
+    remove, later = masks if masks is not None else _round_masks(rounds)
+    n = counts if counts is not None else dict.fromkeys(FOLD_COUNTS, 0)
     main = Path(index_dir) / f"word_bucket={k}"
     tmp = Path(index_dir) / ".update_tmp" / f"{k}-{uuid.uuid4().hex}.parquet"
     tmp.parent.mkdir(exist_ok=True)
     changed = False
     for f in sorted(main.glob("*.parquet")):
-        hit = np.isin(pq.read_table(f, columns=["doc_seq"])["doc_seq"]
-                      .to_numpy(), remove)
-        if not hit.any():
-            continue
-        changed = True
-        if hit.all():
-            f.unlink()
-            continue
-        pq.write_table(pq.read_table(f).filter(pa.array(~hit)), tmp)
+        with pq.ParquetFile(f) as pf:
+            n["main_read"] += 1
+            hit = np.isin(pf.read(columns=["doc_seq"])["doc_seq"].to_numpy(),
+                          remove)
+            if not hit.any():
+                continue
+            changed = True
+            if hit.all():
+                f.unlink()
+                n["main_unlinked"] += 1
+                continue
+            pq.write_table(pf.read().filter(pa.array(~hit)), tmp)
         os.replace(tmp, f)
+        n["main_rewritten"] += 1
 
     parts = []
-    for i, r in enumerate(rounds):
-        files = sorted((Path(r) / "postings" / f"word_bucket={k}")
-                       .glob("*.parquet"))
-        if not files:
-            continue
-        t = pa.concat_tables(
-            [pq.read_table(f, columns=["word", "doc_seq", "positions"])
-             for f in files])
-        if i + 1 < len(rounds):
-            later = np.concatenate(docs[i + 1:])
-            t = t.filter(pa.array(~np.isin(t["doc_seq"].to_numpy(), later)))
-        parts.append(t)
+    for r, lat in zip(rounds, later):
+        for f in sorted((Path(r) / "postings" / f"word_bucket={k}")
+                        .glob("*.parquet")):
+            with pq.ParquetFile(f) as pf:
+                t = pf.read(columns=["word", "doc_seq", "positions"])
+            n["staged_read"] += 1
+            if lat is not None:
+                t = t.filter(pa.array(~np.isin(t["doc_seq"].to_numpy(), lat)))
+            parts.append(t)
     if sum(t.num_rows for t in parts):
         main.mkdir(exist_ok=True)
         pq.write_table(pa.concat_tables(parts), tmp)
         os.replace(tmp, main / f"delta-{uuid.uuid4().hex}.parquet")
+        n["written"] += 1
         changed = True
     return changed
 
 
+@ray.remote
+def _fold_group(index_dir: str, rounds: "list[str]", ks: "list[int]",
+                masks: tuple) -> "tuple[list[int], dict]":
+    """One fold task: ``_fold_bucket`` over its group of word buckets;
+    returns the buckets that changed and the group's file counts."""
+    counts = dict.fromkeys(FOLD_COUNTS, 0)
+    return [k for k in ks
+            if _fold_bucket(index_dir, rounds, k, masks, counts)], counts
+
+
+def _fold(index_dir: str) -> "tuple[list[int], dict]":
+    """fold_deltas' body; also returns the fold's file counts
+    (FOLD_COUNTS keys, summed over its tasks)."""
+    counts = dict.fromkeys(FOLD_COUNTS, 0)
+    rounds = _staged_round_dirs(index_dir)
+    if not rounds:
+        return [], counts
+    _recover_index(index_dir)
+    dirs = list(Path(index_dir).glob("word_bucket=*"))
+    for r in rounds:
+        dirs.extend((r / "postings").glob("word_bucket=*"))
+    buckets = sorted({int(d.name.split("=")[1]) for d in dirs})
+    round_dirs = [str(r) for r in rounds]
+    masks = _round_masks(round_dirs)
+    counts["docs_read"] = len(round_dirs)
+    touched: list[int] = []
+    if buckets:
+        # one task per CPU: a Ray task costs more than folding a small
+        # bucket, so each task folds its group of buckets
+        g = max(1, min(len(buckets),
+                       int(ray.cluster_resources().get("CPU", 1))))
+        masks_ref = ray.put(masks)
+        for ks, c in ray.get([_fold_group.remote(index_dir, round_dirs,
+                                                 buckets[i::g], masks_ref)
+                              for i in range(g)]):
+            touched.extend(ks)
+            for key, v in c.items():
+                counts[key] += v
+    for r in rounds:
+        shutil.rmtree(r, ignore_errors=True)
+    return sorted(touched), counts
+
+
 def fold_deltas(index_dir: str) -> list[int]:
-    """Fold ALL staged delta segments into the main index: one Ray Data
-    job over the word-bucket ids, one ``_fold_bucket`` call per bucket.
-    Per doc only its LATEST staged round's rows survive, and main loses
-    the old rows of every staged doc (incl. purges). Only main files
-    holding a removed doc are rewritten; each changed bucket gains at
-    most one file per fold — a periodic ``build_postings`` rebuild (or
-    more NUM_WORD_BUCKETS) is the compaction story for long runs.
+    """Fold ALL staged delta segments into the main index with plain Ray
+    tasks, no Ray Data job: the driver reads each staged round's
+    remove-set once and works out the latest-wins masks once, then runs
+    one task per CPU, each calling ``_fold_bucket`` for its group of
+    word buckets (G = min(buckets, cluster CPUs); the i-th bucket of the
+    sorted list goes to group i mod G). Per doc only its LATEST staged
+    round's rows survive, and main loses the old rows of every staged
+    doc (incl. purges). Only main files holding a removed doc are
+    rewritten; each changed bucket gains at most one file per fold — a
+    periodic ``build_postings`` rebuild (or more NUM_WORD_BUCKETS) is the
+    compaction story for long runs.
 
     Crash safety: ``.deltas`` is cleared only after every bucket is
     done. A re-run after a crash finds the delta files it already
     appended full of staged docs, filters them away with the rest, and
     appends the same rows again — the fold is idempotent. Returns the
     sorted ids of the buckets that changed."""
-    rounds = _staged_round_dirs(index_dir)
-    if not rounds:
-        return []
-    _recover_index(index_dir)
-    dirs = list(Path(index_dir).glob("word_bucket=*"))
-    for r in rounds:
-        dirs.extend((r / "postings").glob("word_bucket=*"))
-    buckets = sorted({int(d.name.split("=")[1]) for d in dirs})
-    touched: list[int] = []
-    if buckets:
-        round_dirs = [str(r) for r in rounds]
-
-        def fold(batch: pa.Table) -> pa.Table:
-            ks = batch["bucket"].to_pylist()
-            changed = [_fold_bucket(index_dir, round_dirs, k) for k in ks]
-            return pa.table({"bucket": pa.array(ks, pa.int32()),
-                             "changed": pa.array(changed, pa.bool_())})
-
-        # one block per CPU: a Ray task costs more than folding a small
-        # bucket, so each task folds its run of buckets one call apiece
-        n_cpu = int(ray.cluster_resources().get("CPU", 1))
-        out = (rd.from_items([{"bucket": k} for k in buckets],
-                             override_num_blocks=min(len(buckets), n_cpu))
-                 .map_batches(fold, batch_format="pyarrow", batch_size=1)
-                 .take_all())
-        touched = sorted(int(r["bucket"]) for r in out if r["changed"])
-    for r in rounds:
-        shutil.rmtree(r, ignore_errors=True)
-    return touched
+    return _fold(index_dir)[0]
 
 
 def update_postings_index_staged(
@@ -473,7 +603,8 @@ def update_postings_index_staged(
     no scan). fold_threshold=0 folds every round;
     fold_threshold=inf never folds (queries go through
     read_postings_with_deltas). Returns {staged_round, folded, touched,
-    staged_rows, main_rows}."""
+    staged_rows, main_rows, fold_files}; ``fold_files`` holds the fold's
+    file counts (FOLD_COUNTS keys, all 0 when it did not fold)."""
     rnd = stage_delta(index_dir, store_path, purge_doc_seqs,
                       per_lang_stopwords)
     staged_files = [f for r in _staged_round_dirs(index_dir)
@@ -482,10 +613,11 @@ def update_postings_index_staged(
     staged_rows = _parquet_rows(staged_files)
     main_rows = _parquet_rows(main_files)
     folded = staged_rows >= fold_threshold * max(main_rows, 1)
-    touched = fold_deltas(index_dir) if folded else []
+    touched, files = (_fold(index_dir) if folded
+                      else ([], dict.fromkeys(FOLD_COUNTS, 0)))
     return {"staged_round": rnd, "folded": folded,
             "touched": touched, "staged_rows": staged_rows,
-            "main_rows": main_rows}
+            "main_rows": main_rows, "fold_files": files}
 
 
 # ----------------------------------------------- the crawl store index
@@ -501,7 +633,9 @@ def store_index_manifest(store_dir: str) -> "dict | None":
     """The crawl store index's current manifest, None before the first
     refresh: ``generation``, ``dir``, the indexed ``units`` (``round=K``
     dirs, ``.`` for flat files) with their file_ids, ``n_docs``, and the
-    refresh's ``plan`` (build | stage), ``reason`` and ``staged`` units."""
+    refresh's ``plan`` (build | stage), ``reason``, ``staged`` units and
+    ``fold_files`` (the staged refresh's fold file counts, None for a
+    build)."""
     p = Path(store_dir).resolve()
     try:
         return json.loads((p.parent / f"{p.name}.index" / "manifest.json")
@@ -518,7 +652,10 @@ def refresh_store_index(store_dir: str) -> str:
     the whole store; new ``round=K`` units alone are staged and folded
     into a hard-linked copy of the current generation (O(delta): the
     fold's tmp + os.replace writes leave the old files as they were).
-    An unchanged store costs a stat walk. Rounds are assumed to hold
+    A staged refresh starts no Ray Data job: the stage tasks also write
+    the new units' docs rows. The manifest's ``fold_files`` records the
+    fold's file counts (FOLD_COUNTS keys; None for a build). An
+    unchanged store costs a stat walk. Rounds are assumed to hold
     disjoint urls, as a crawl's url-seen set makes them."""
     store = Path(store_dir).resolve()
     root = store.parent / f"{store.name}.index"
@@ -543,26 +680,29 @@ def refresh_store_index(store_dir: str) -> str:
         gen, tmp = root / f"gen-{g:06d}", root / f".gen-{g:06d}"
         shutil.rmtree(tmp, ignore_errors=True)
         tmp.mkdir(parents=True)
+        fold_files = None
         if plan == "stage":
             for d in (root / man["dir"]).iterdir():
                 if d.name == "docs" or d.name.startswith("word_bucket="):
                     shutil.copytree(d, tmp / d.name, copy_function=os.link)
+            # the stage tasks add the new units' (doc_seq, url) rows
             for u in new:
-                stage_delta(str(tmp), str(store / u), drop_stopwords=False)
-            fold_deltas(str(tmp))
+                stage_delta(str(tmp), str(store / u), drop_stopwords=False,
+                            docs_dir=str(tmp / "docs"))
+            fold_files = _fold(str(tmp))[1]
         else:
             new = []
             build_postings(str(store), drop_stopwords=False).write_parquet(
                 str(tmp), partition_cols=["word_bucket"])
-        (rd.read_parquet([str(store / u) for u in new] or str(store),
-                         columns=["url"])
-           .map_batches(lambda b: pa.table({
-               "doc_seq": pa.array(fnv1a64_arrow(b["url"]), pa.int64()),
-               "url": b["url"]}), batch_format="pyarrow")
-           .write_parquet(str(tmp / "docs")))
+            (rd.read_parquet(str(store), columns=["url"])
+               .map_batches(lambda b: pa.table({
+                   "doc_seq": pa.array(fnv1a64_arrow(b["url"]), pa.int64()),
+                   "url": b["url"]}), batch_format="pyarrow")
+               .write_parquet(str(tmp / "docs")))
         man = {"generation": g, "dir": gen.name, "units": units,
                "n_docs": _parquet_rows((tmp / "docs").glob("*.parquet")),
-               "plan": plan, "reason": reason, "staged": new}
+               "plan": plan, "reason": reason, "staged": new,
+               "fold_files": fold_files}
         (tmp / "manifest.json").write_text(json.dumps(man))
         shutil.rmtree(gen, ignore_errors=True)   # left unpublished by a crash
         tmp.rename(gen)

@@ -157,3 +157,115 @@ def test_refresh_writes_are_o_delta(ray_session, tmp_path):
     for d in idx.glob("word_bucket=*"):
         n_before = files_per_bucket.get(d.name, 0)
         assert len(list(d.glob("*.parquet"))) <= n_before + 1
+
+
+def _folded_table(idx) -> pa.Table:
+    return _merged_table(_read_bucketed_postings(str(idx)))
+
+
+def test_stage_and_fold_start_no_ray_data_job(ray_session, tmp_path,
+                                              monkeypatch):
+    """Staging two rounds and folding them into an index built beforehand
+    runs plain Ray tasks only: with Ray Data's reader, item source and
+    writer patched to raise, the folded index still equals a rebuild."""
+    import ray.data
+
+    dirs = _rounds(tmp_path)
+    want = _merged_table(build_postings_latest(dirs))
+    idx = tmp_path / "idx"
+    build_postings(dirs[0], out_dir=str(idx))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("Ray Data job started")
+
+    with monkeypatch.context() as m:
+        m.setattr(ray.data, "read_parquet", boom)
+        m.setattr(ray.data, "from_items", boom)
+        m.setattr(ray.data.Dataset, "write_parquet", boom)
+        for d in dirs[1:]:
+            stage_delta(str(idx), d)
+        assert fold_deltas(str(idx))
+    assert _folded_table(idx).equals(want)
+
+
+def test_large_round_stages_across_tasks(ray_session, tmp_path,
+                                         monkeypatch):
+    """A round above STAGE_TASK_ROWS stored rows is split by row group
+    across stage tasks, each writing at most one file per word bucket;
+    folding the split rounds still equals a rebuild."""
+    from aspseek_ray.pipelines import index_products as ip
+
+    urls = [f"http://h{i % 4}.example/p{i}.html" for i in range(24)]
+    dirs = [_store_round(tmp_path / "s0", urls,
+                         [f"alpha{i % 5} beta{i % 3} words {i}"
+                          for i in range(24)])]
+    for r in (1, 2):
+        dirs.append(_store_round(
+            tmp_path / f"s{r}", urls[4 * r:4 * r + 8] + [f"http://n/{r}"],
+            [f"round{r} gamma{i} alpha{i % 5} beta" for i in range(9)],
+            n_files=3))
+    want = _merged_table(build_postings_latest(dirs))
+    idx = tmp_path / "idx"
+    build_postings(dirs[0], out_dir=str(idx))
+
+    monkeypatch.setattr(ip, "STAGE_TASK_ROWS", 3)
+    assert [len(s) for s in ip._stage_shares(dirs[1])] == [1, 1, 1]
+    for d in dirs[1:]:
+        stage_delta(str(idx), d)
+    per_bucket = [len(list(b.glob("*.parquet")))
+                  for r in _staged_round_dirs(str(idx))
+                  for b in (r / "postings").glob("word_bucket=*")]
+    assert max(per_bucket) <= 3 and max(per_bucket) > 1
+    fold_deltas(str(idx))
+    assert _folded_table(idx).equals(want)
+
+
+def test_fold_reports_its_file_counts(ray_session, tmp_path):
+    """A fold reads each staged round's remove-set once (not once per
+    bucket) and every main and staged file once, and reports it: on the
+    test_refresh_writes_are_o_delta rounds of brand-new pages it reads
+    every main file, rewrites none and appends one file per staged
+    bucket; a round of re-fetches rewrites or unlinks exactly the main
+    files holding a re-fetched doc."""
+    from aspseek_ray.pipelines.index_products import FOLD_COUNTS, _fold
+
+    urls = [f"http://h{i % 4}.example/p{i}.html" for i in range(40)]
+    texts = [f"alpha{i % 7} beta{i % 5} gamma{i % 3} words {i}"
+             for i in range(40)]
+    r0 = _store_round(tmp_path / "s0", urls, texts)
+    idx = tmp_path / "idx"
+    build_postings(r0, out_dir=str(idx))
+    new = [f"http://h8.example/n{i}.html" for i in range(24)]
+    for r in (1, 2):
+        d = _store_round(tmp_path / f"s{r}", new[12 * (r - 1):12 * r],
+                         [f"alpha{i} fresh{r} delta words"
+                          for i in range(12)], n_files=4)
+        stage_delta(str(idx), d)
+    staged = [b for r in _staged_round_dirs(str(idx))
+              for b in (r / "postings").glob("word_bucket=*")]
+    buckets = sorted({int(b.name.split("=")[1]) for b in staged})
+    main_files = list(idx.glob("word_bucket=*/*.parquet"))
+    touched, counts = _fold(str(idx))
+    assert touched == buckets
+    assert counts == {"docs_read": 2, "main_read": len(main_files),
+                      "main_rewritten": 0, "main_unlinked": 0,
+                      "staged_read": len(staged), "written": len(buckets)}
+
+    # re-fetch 6 old pages (one of them with no index token left)
+    refetch = urls[:6]
+    d = _store_round(tmp_path / "s3", refetch,
+                     ["", *(f"zeta{i} words" for i in range(5))])
+    gone = set(fnv1a64_arrow(pa.array(refetch)).tolist())
+    main_files = sorted(idx.glob("word_bucket=*/*.parquet"))
+    hits = [np.isin(pq.read_table(f, columns=["doc_seq"])["doc_seq"]
+                    .to_numpy(), list(gone)) for f in main_files]
+    r = update_postings_index_staged(str(idx), d, fold_threshold=0.0)
+    stage_buckets = {_bucket(w) for w in ["words"]
+                     + [f"zeta{i}" for i in range(5)]}
+    assert set(r["fold_files"]) == set(FOLD_COUNTS)
+    assert r["fold_files"] == {
+        "docs_read": 1, "main_read": len(main_files),
+        "main_rewritten": sum(h.any() and not h.all() for h in hits),
+        "main_unlinked": sum(h.all() for h in hits),
+        "staged_read": len(stage_buckets), "written": len(stage_buckets)}
+    assert r["fold_files"]["main_rewritten"]

@@ -199,10 +199,13 @@ def test_store_index_built_once_per_store(ray_session, tmp_path,
     """The store index is built by the first query that needs it and
     read by every later query of both plans and of anchor_boosted_search;
     rewriting a store file in place builds it again; a round added later
-    is staged on its own (build_postings runs over that round's files
-    only) and the answer equals a freshly built index's. The manifest
-    records each refresh's plan and reason."""
+    is staged on its own (stage_delta reads that round's files only) and
+    the answer equals a freshly built index's. The manifest
+    records each refresh's plan and reason. The staged refresh starts no
+    Ray Data read or write."""
     import shutil
+
+    import ray.data
 
     from aspseek_ray.pipelines import index_products as ip
     from aspseek_ray.pipelines import search
@@ -246,16 +249,32 @@ def test_store_index_built_once_per_store(ray_session, tmp_path,
                              "text": [f"zebra yak {'foo ' * i}"
                                       for i in range(5)]}),
                    f"{rnd}/part-0.parquet")
+    real_stage, staged = ip.stage_delta, []
+
+    def stage_counted(index_dir, store_path, *args, **kwargs):
+        staged.append(store_path)
+        return real_stage(index_dir, store_path, *args, **kwargs)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("Ray Data job started")
+
+    monkeypatch.setattr(ip, "stage_delta", stage_counted)
+    with monkeypatch.context() as m:
+        m.setattr(ray.data, "read_parquet", boom)
+        m.setattr(ray.data.Dataset, "write_parquet", boom)
+        ip.refresh_store_index(store)
     got = search.ranked_crawl_search(store, pages, query="zebra", k=100)
-    assert calls[2:] == [rnd]
+    assert len(calls) == 2 and staged == [rnd]
     man = ip.store_index_manifest(store)
     assert (man["generation"], man["plan"], man["reason"], man["staged"]) \
         == (2, "stage", "new units", ["round=1"])
     assert man["n_docs"] == 69
+    assert man["fold_files"]["docs_read"] == 1
+    assert man["fold_files"]["written"] >= 1
     fresh = tmp_path / "fresh" / "store"
     shutil.copytree(store, fresh)
     want = search.ranked_crawl_search(str(fresh), pages, query="zebra", k=100)
-    assert len(calls) == 4 and calls[3] == str(fresh)
+    assert len(calls) == 3 and calls[2] == str(fresh)
     assert got.equals(want) and got.num_rows == 21
 
 
