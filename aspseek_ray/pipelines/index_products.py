@@ -275,10 +275,15 @@ def _recover_index(index_dir: str) -> None:
 # plus a doc_seq-column read of the index. Both run as plain Ray tasks:
 # at a crawl round's size a Ray Data job costs more than the work.
 
-# stored rows one stage task explodes: a round up to this size is one
-# task writing ONE file per word bucket; a larger round is split by row
-# group across tasks, each writing its own file per bucket
-STAGE_TASK_ROWS = 20_000
+# stored rows a stage task explodes at once, and the least a task must
+# get before a round is split across tasks (a round of fewer than 2 x
+# this is one task, a larger one at most one task per CPU and per row
+# group). One more task, or one more batch in a task, costs a launch
+# plus one more small write per word bucket (and, for a task, one more
+# read per bucket when the round is folded): about 25 ms on 1 vCPU,
+# against about 0.25 s to explode this many rows of 340-char pages
+# (110-130 us per row; CHANGES.md)
+STAGE_TASK_ROWS = 2_000
 
 
 def _staged_round_dirs(index_dir: str) -> "list[Path]":
@@ -299,69 +304,94 @@ def _parquet_rows(files) -> int:
     return sum(pq.ParquetFile(str(f)).metadata.num_rows for f in files)
 
 
+def _cluster_cpus() -> int:
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def _stage_shares(pages_path: str) -> "list[dict[str, list[int]]]":
     """The stored rows of a pages file or store dir cut into stage-task
-    shares of at most STAGE_TASK_ROWS rows (a row group is never split),
-    from parquet footers only: per share, each file's row groups.
-    Files and dirs whose name starts with ``.`` or ``_`` are skipped, as
-    a parquet dataset read skips them. Raises ValueError when
-    ``pages_path`` is a directory holding no parquet file."""
-    p = Path(pages_path)
-    files = [p]
-    if p.is_dir():
-        files = [f for f in sorted(p.rglob("*.parquet"))
-                 if not any(part.startswith((".", "_"))
-                            for part in f.relative_to(p).parts)]
-        if not files:
-            raise ValueError(f"no parquet file under {pages_path}")
-    shares: "list[dict[str, list[int]]]" = []
-    rows = STAGE_TASK_ROWS      # so the first row group opens a share
+    shares, from parquet footers only: per share, each file's row
+    groups. There are min(cluster CPUs, row groups, rows //
+    STAGE_TASK_ROWS) shares, at least one, of about equal rows (a row
+    group is never split); none when no row is stored. The files are
+    those a parquet dataset read takes (``pq.ParquetDataset``:
+    names starting with ``.`` or ``_`` are skipped). Raises ValueError
+    when ``pages_path`` is a directory holding no parquet file."""
+    files = pq.ParquetDataset(pages_path).files
+    if not files:
+        raise ValueError(f"no parquet file under {pages_path}")
+    groups = []
     for f in files:
         md = pq.ParquetFile(f).metadata
-        for g in range(md.num_row_groups):
-            n = md.row_group(g).num_rows
-            if n == 0:
-                continue
-            if rows + n > STAGE_TASK_ROWS:
-                shares.append({})
-                rows = 0
-            shares[-1].setdefault(str(f), []).append(g)
-            rows += n
-    return shares
+        groups += [(f, g, md.row_group(g).num_rows)
+                   for g in range(md.num_row_groups)
+                   if md.row_group(g).num_rows]
+    total = sum(n for _, _, n in groups)
+    k = max(1, min(_cluster_cpus(), len(groups), total // STAGE_TASK_ROWS))
+    shares: "list[dict[str, list[int]]]" = [{} for _ in range(k)]
+    before = 0
+    for f, g, n in groups:
+        shares[before * k // total].setdefault(f, []).append(g)
+        before += n
+    return [s for s in shares if s]
 
 
 @ray.remote
 def _stage_share(share: "dict[str, list[int]]", postings_dir: str,
                  part: int, drop_stopwords: bool, per_lang_stopwords: bool,
-                 docs_dir: "str | None") -> np.ndarray:
-    """Explode one share of a round's stored rows, reading each file
-    once, and write its postings as one file per word bucket
-    (``postings_dir/word_bucket=K/part-NNNNN.parquet``, NNNNN = ``part``)
-    and, given ``docs_dir``, its (doc_seq, url) rows as one file there.
-    Returns the share's doc_seqs (fnv1a64 of every stored url)."""
+                 docs_file: "str | None") -> np.ndarray:
+    """Explode one share of a round's stored rows, opening each file
+    once and exploding STAGE_TASK_ROWS rows (whole row groups) at a
+    time, and write its postings as one file per word bucket
+    (``postings_dir/word_bucket=K/part-NNNNN.parquet``, NNNNN =
+    ``part``) and, given ``docs_file``, its (doc_seq, url) rows there.
+    The names are fixed by the caller, so a retried task overwrites its
+    own files. Returns the share's doc_seqs (fnv1a64 of every stored
+    url)."""
     cols = ["url", "text"] + (["lang"] if per_lang_stopwords else [])
-    pages = pa.concat_tables(
-        [pq.ParquetFile(f).read_row_groups(gs, columns=cols)
-         for f, gs in share.items()])
-    seqs = fnv1a64_arrow(pages["url"])
-    postings = _page_postings(pages, drop_stopwords, per_lang_stopwords, seqs)
-    if postings.num_rows:
-        b = postings["word_bucket"].to_numpy()
-        order = np.argsort(b, kind="stable")
-        b = b[order]
-        postings = postings.drop_columns(["word_bucket"]).take(order)
-        cuts = (np.flatnonzero(np.diff(b)) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, len(b)]):
-            d = Path(postings_dir) / f"word_bucket={b[lo]}"
-            d.mkdir(parents=True, exist_ok=True)
-            pq.write_table(postings.slice(lo, hi - lo),
-                           d / f"part-{part:05d}.parquet")
-    if docs_dir:
-        Path(docs_dir).mkdir(parents=True, exist_ok=True)
-        pq.write_table(pa.table({"doc_seq": pa.array(seqs, pa.int64()),
-                                 "url": pages["url"]}),
-                       Path(docs_dir) / f"{uuid.uuid4().hex}.parquet")
-    return seqs
+
+    def batches():
+        buf: "list[pa.Table]" = []
+        for f, gs in share.items():
+            with pq.ParquetFile(f) as pf:
+                for g in gs:
+                    buf.append(pf.read_row_group(g, columns=cols))
+                    if sum(t.num_rows for t in buf) >= STAGE_TASK_ROWS:
+                        yield pa.concat_tables(buf)
+                        buf = []
+        if buf:
+            yield pa.concat_tables(buf)
+
+    writers: "dict[Path, pq.ParquetWriter]" = {}
+
+    def put(path: Path, t: pa.Table) -> None:
+        if path not in writers:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            writers[path] = pq.ParquetWriter(path, t.schema)
+        writers[path].write_table(t)
+
+    seqs = []
+    try:
+        for pages in batches():
+            s = fnv1a64_arrow(pages["url"])
+            seqs.append(s)
+            if docs_file:
+                put(Path(docs_file), pa.table({
+                    "doc_seq": pa.array(s, pa.int64()), "url": pages["url"]}))
+            p = _page_postings(pages, drop_stopwords, per_lang_stopwords, s)
+            b = p["word_bucket"].to_numpy()
+            order = np.argsort(b, kind="stable")
+            b = b[order]
+            p = p.drop_columns(["word_bucket"]).take(order)
+            cuts = (np.flatnonzero(np.diff(b)) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(b)]):
+                if hi > lo:
+                    put(Path(postings_dir) / f"word_bucket={b[lo]}"
+                        / f"part-{part:05d}.parquet", p.slice(lo, hi - lo))
+    finally:
+        for w in writers.values():
+            w.close()
+    return np.concatenate(seqs)
 
 
 def stage_delta(index_dir: str, store_path: str,
@@ -374,13 +404,16 @@ def stage_delta(index_dir: str, store_path: str,
     into ``index_dir/.deltas/round-NNNNNN/postings`` (same bucketed
     layout as main) plus its remove-set ``_docs.parquet``: fnv1a64 of
     every url the round stored, plus the purged doc_seqs. One Ray task
-    explodes each STAGE_TASK_ROWS share of the round's stored rows
-    (counted from parquet footers) and writes one file per word bucket,
-    so a round up to that size stages one file per bucket; no Ray Data
-    job runs. Given ``docs_dir``, each task also writes its (doc_seq,
-    url) rows there, straight into that dir. The round dir appears
-    atomically (tmp + rename); a crash mid-stage leaves only an ignored
-    tmp dir. O(round), no main index reads. A round with no stored pages
+    explodes each share of the round's stored rows (``_stage_shares``:
+    counted from parquet footers, more than one only for a round of at
+    least 2 x STAGE_TASK_ROWS rows, at most one per CPU) STAGE_TASK_ROWS
+    rows at a time and writes one file per word bucket, so a task's
+    memory is about one batch's and a round stages at most one file per
+    bucket per task; no Ray Data job runs. Given ``docs_dir``, each task
+    also writes its (doc_seq, url) rows there as one file named for this
+    call and the task. The round dir appears atomically (tmp + rename);
+    a crash mid-stage leaves only an ignored tmp dir. O(round), no main
+    index reads. A round with no stored pages
     writes no postings dir, only its purges. ``drop_stopwords`` is
     build_postings'. Raises ValueError when ``store_path`` is a
     directory holding no parquet file. Returns the staged round
@@ -396,10 +429,11 @@ def stage_delta(index_dir: str, store_path: str,
     tmp.mkdir()
     # every url the round stored, so a page whose new text yields no
     # index token (no posting row) still loses its old postings
-    seqs = ray.get([_stage_share.remote(s, str(tmp / "postings"), i,
-                                        drop_stopwords, per_lang_stopwords,
-                                        docs_dir)
-                    for i, s in enumerate(shares)])
+    tag = uuid.uuid4().hex      # no clash with other calls' docs files
+    seqs = ray.get([_stage_share.remote(
+        s, str(tmp / "postings"), i, drop_stopwords, per_lang_stopwords,
+        docs_dir and os.path.join(docs_dir, f"{tag}-{i:05d}.parquet"))
+        for i, s in enumerate(shares)])
     arr = np.unique(np.concatenate(
         [*seqs, np.asarray(list(purge_doc_seqs), dtype=np.int64)]))
     pq.write_table(pa.table({"doc_seq": pa.array(arr, pa.int64())}),
@@ -552,8 +586,7 @@ def _fold(index_dir: str) -> "tuple[list[int], dict]":
     if buckets:
         # one task per CPU: a Ray task costs more than folding a small
         # bucket, so each task folds its group of buckets
-        g = max(1, min(len(buckets),
-                       int(ray.cluster_resources().get("CPU", 1))))
+        g = min(len(buckets), _cluster_cpus())
         masks_ref = ray.put(masks)
         for ks, c in ray.get([_fold_group.remote(index_dir, round_dirs,
                                                  buckets[i::g], masks_ref)

@@ -190,15 +190,16 @@ def test_stage_and_fold_start_no_ray_data_job(ray_session, tmp_path,
 
 def test_large_round_stages_across_tasks(ray_session, tmp_path,
                                          monkeypatch):
-    """A round above STAGE_TASK_ROWS stored rows is split by row group
-    across stage tasks, each writing at most one file per word bucket;
-    folding the split rounds still equals a rebuild."""
+    """A round of at least 2 x STAGE_TASK_ROWS stored rows is split by
+    row group across stage tasks of about equal rows, at most one per
+    CPU, each writing at most one file per word bucket; folding the split
+    rounds still equals a rebuild."""
     from aspseek_ray.pipelines import index_products as ip
 
     urls = [f"http://h{i % 4}.example/p{i}.html" for i in range(24)]
     dirs = [_store_round(tmp_path / "s0", urls,
                          [f"alpha{i % 5} beta{i % 3} words {i}"
-                          for i in range(24)])]
+                          for i in range(24)], n_files=8)]
     for r in (1, 2):
         dirs.append(_store_round(
             tmp_path / f"s{r}", urls[4 * r:4 * r + 8] + [f"http://n/{r}"],
@@ -208,8 +209,13 @@ def test_large_round_stages_across_tasks(ray_session, tmp_path,
     idx = tmp_path / "idx"
     build_postings(dirs[0], out_dir=str(idx))
 
+    cpus = int(ray.cluster_resources()["CPU"])
     monkeypatch.setattr(ip, "STAGE_TASK_ROWS", 3)
     assert [len(s) for s in ip._stage_shares(dirs[1])] == [1, 1, 1]
+    assert len(ip._stage_shares(dirs[0])) == min(cpus, 8)
+    monkeypatch.setattr(ip, "STAGE_TASK_ROWS", 5)
+    assert len(ip._stage_shares(dirs[1])) == 1
+    monkeypatch.setattr(ip, "STAGE_TASK_ROWS", 3)
     for d in dirs[1:]:
         stage_delta(str(idx), d)
     per_bucket = [len(list(b.glob("*.parquet")))
@@ -218,6 +224,29 @@ def test_large_round_stages_across_tasks(ray_session, tmp_path,
     assert max(per_bucket) <= 3 and max(per_bucket) > 1
     fold_deltas(str(idx))
     assert _folded_table(idx).equals(want)
+
+
+def test_retried_stage_task_overwrites_its_files(ray_session, tmp_path):
+    """A stage task's file names are fixed by its caller, so a retry of
+    the same task (as Ray runs after a worker dies) overwrites its
+    postings and docs files instead of adding a second copy of its
+    rows."""
+    from aspseek_ray.pipelines import index_products as ip
+
+    d = _store_round(tmp_path / "s0", [f"http://h.example/p{i}.html"
+                                       for i in range(6)],
+                     [f"alpha{i} beta words" for i in range(6)], n_files=2)
+    share = ip._stage_shares(d)[0]
+    post, docs = tmp_path / "postings", tmp_path / "docs"
+    args = (share, str(post), 0, True, False, str(docs / "t-00000.parquet"))
+    first = ray.get(ip._stage_share.remote(*args))
+    files = sorted(post.rglob("*.parquet"))
+    assert ray.get(ip._stage_share.remote(*args)).tolist() == first.tolist()
+    assert sorted(post.rglob("*.parquet")) == files
+    assert [f.name for f in docs.iterdir()] == ["t-00000.parquet"]
+    assert pq.read_table(docs).num_rows == 6
+    assert sum(pq.ParquetFile(f).metadata.num_rows for f in files) \
+        == build_postings(d).count()
 
 
 def test_fold_reports_its_file_counts(ray_session, tmp_path):

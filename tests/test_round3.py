@@ -201,8 +201,8 @@ def test_store_index_built_once_per_store(ray_session, tmp_path,
     rewriting a store file in place builds it again; a round added later
     is staged on its own (stage_delta reads that round's files only) and
     the answer equals a freshly built index's. The manifest
-    records each refresh's plan and reason. The staged refresh starts no
-    Ray Data read or write."""
+    records each refresh's plan and reason. The staged refresh the query
+    runs starts no Ray Data read or write."""
     import shutil
 
     import ray.data
@@ -258,12 +258,18 @@ def test_store_index_built_once_per_store(ray_session, tmp_path,
     def boom(*args, **kwargs):
         raise AssertionError("Ray Data job started")
 
+    real_refresh = ip.refresh_store_index
+
+    def refresh_without_ray_data(store_dir):
+        with monkeypatch.context() as m:
+            m.setattr(ray.data, "read_parquet", boom)
+            m.setattr(ray.data.Dataset, "write_parquet", boom)
+            return real_refresh(store_dir)
+
     monkeypatch.setattr(ip, "stage_delta", stage_counted)
     with monkeypatch.context() as m:
-        m.setattr(ray.data, "read_parquet", boom)
-        m.setattr(ray.data.Dataset, "write_parquet", boom)
-        ip.refresh_store_index(store)
-    got = search.ranked_crawl_search(store, pages, query="zebra", k=100)
+        m.setattr(ip, "refresh_store_index", refresh_without_ray_data)
+        got = search.ranked_crawl_search(store, pages, query="zebra", k=100)
     assert len(calls) == 2 and staged == [rnd]
     man = ip.store_index_manifest(store)
     assert (man["generation"], man["plan"], man["reason"], man["staged"]) \
